@@ -68,9 +68,10 @@ def test_bench_euclidean_mst(benchmark):
 
 
 def test_bench_kmb(benchmark, micro_network):
-    graph = micro_network.to_networkx()
+    # The adjacency SMT's prepare_task hands to KMB.
+    adjacency = micro_network.weighted_adjacency()
     terminals = list(range(0, 120, 10))
-    benchmark(kmb_steiner_tree, graph, terminals)
+    benchmark(kmb_steiner_tree, adjacency, terminals)
 
 
 def test_bench_network_build(benchmark):

@@ -19,6 +19,7 @@ from repro.network.topology import (
 from repro.network.graph import (
     CSRAdjacency,
     SpatialGrid,
+    WeightedAdjacency,
     WirelessNetwork,
     build_network,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "topology_with_voids",
     "CSRAdjacency",
     "SpatialGrid",
+    "WeightedAdjacency",
     "WirelessNetwork",
     "build_network",
     "gabriel_neighbors",

@@ -3,8 +3,8 @@
 :class:`WirelessNetwork` is the authoritative global state of a simulated
 deployment: node locations, the unit-disk neighbor relation induced by the
 radio range, planarized (Gabriel / RNG) neighbor subsets for perimeter
-routing, and conversions to :mod:`networkx` for the centralized SMT baseline
-and connectivity checks.
+routing, and the whole-network weighted graph the centralized SMT baseline
+searches (also offered as a :mod:`networkx` view for connectivity checks).
 
 Protocol implementations never touch this class directly — they see only the
 per-node :class:`repro.routing.base.NodeView` carved out of it, which is how
@@ -28,7 +28,9 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     MutableSequence,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -40,7 +42,7 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from repro.geometry import Point, distance
+from repro.geometry import Point
 from repro.network.node import SensorNode
 from repro.network.planar import gabriel_neighbors, rng_neighbors
 from repro.network.radio import RadioConfig
@@ -493,6 +495,22 @@ class _SharedNodeList(MutableSequence[SensorNode]):
         raise TypeError("a deployment's node count is fixed")
 
 
+class WeightedAdjacency(NamedTuple):
+    """A weighted undirected graph over dense positions ``0 .. m-1``.
+
+    ``labels[p]`` is the node id at position ``p`` and ``positions`` maps
+    ids back (it is the graph's membership test).  ``rows[p]`` lists the
+    ``(neighbor position, weight)`` pairs of ``p`` in the order a search
+    relaxes them; weights are finite and non-negative.  This is the form
+    SMT's KMB search walks (:func:`repro.steiner.kmb.kmb_steiner_tree`):
+    dense positions let it keep its per-node state in flat lists.
+    """
+
+    labels: Sequence[int]
+    positions: Mapping[int, int]
+    rows: Sequence[Sequence[Tuple[int, float]]]
+
+
 class WirelessNetwork:
     """A deployed sensor network: nodes, links, and planar overlays."""
 
@@ -537,7 +555,7 @@ class WirelessNetwork:
         self._gabriel_csr: Optional[CSRAdjacency] = None
         self._rng_csr: Optional[CSRAdjacency] = None
         self._neighbor_arrays: List[Optional[np.ndarray]] = [None] * count
-        self._nx_graph: Optional[nx.Graph] = None
+        self._weighted: Optional[WeightedAdjacency] = None
         self._failed: Set[int] = set()
         # True while the flat node-state arrays are views of a shared-memory
         # segment (attached worker view, or the parent after publishing);
@@ -777,9 +795,10 @@ class WirelessNetwork:
         self._rng_cache.pop(node_id, None)
         self._neighbor_arrays[node_id] = None
         self._neighbor_sets[node_id] = None
-        # Whole-graph planar overlays are rebuilt lazily after any mutation.
+        # Whole-graph views are rebuilt lazily after any mutation.
         self._gabriel_csr = None
         self._rng_csr = None
+        self._weighted = None
 
     def fail_node(self, node_id: int) -> None:
         """Kill node ``node_id``: it vanishes from every topology query.
@@ -788,7 +807,7 @@ class WirelessNetwork:
         recomputed), the failed node is removed from each former neighbor's
         table, and all derived caches of the affected nodes — planarized
         neighbor subsets, :meth:`neighbor_location_array` rows, the
-        ``networkx`` view — are invalidated.  After this call every query
+        weighted graph — are invalidated.  After this call every query
         answers exactly as a network freshly built from the surviving nodes.
         """
         if node_id in self._failed:
@@ -804,7 +823,6 @@ class WirelessNetwork:
             self._invalidate_node(n)
         self._adjacency.set_row(node_id, ())
         self._invalidate_node(node_id)
-        self._nx_graph = None
 
     def move_node(self, node_id: int, new_location: Point) -> None:
         """Relocate a live node, rebuilding exactly the affected state.
@@ -840,7 +858,6 @@ class WirelessNetwork:
             )
             self._invalidate_node(n)
         self._invalidate_node(node_id)
-        self._nx_graph = None
 
     # ------------------------------------------------------------------
     # Planar overlays (local computations, cached)
@@ -896,24 +913,59 @@ class WirelessNetwork:
     # Global views (for SMT and diagnostics only)
     # ------------------------------------------------------------------
 
+    def weighted_adjacency(self) -> WeightedAdjacency:
+        """The unit-disk graph of the live nodes, weighted in meters (cached).
+
+        The one source of edge weights: SMT's KMB search walks it and
+        :meth:`to_networkx` copies it.  Positions follow ascending node id
+        (they equal the ids while no node has failed) and each row lists
+        neighbors in ascending order.  Every weight is ``sqrt(dx*dx +
+        dy*dy)`` from the lower id to the higher id, the formula of
+        :func:`repro.geometry.distance`, so both directions of an edge
+        carry the same float.
+        """
+        if self._weighted is None:
+            ids = np.flatnonzero(self.alive)
+            rows = [self._adjacency.row(u) for u in ids.tolist()]
+            lengths = [row.shape[0] for row in rows]
+            sources = np.repeat(ids, lengths)
+            targets = np.concatenate(rows or [np.empty(0, dtype=np.intp)])
+            low = np.minimum(sources, targets)
+            high = np.maximum(sources, targets)
+            dx = self.locations[low, 0] - self.locations[high, 0]
+            dy = self.locations[low, 1] - self.locations[high, 1]
+            weights = np.sqrt(dx * dx + dy * dy).tolist()
+            position = np.full(len(self.nodes), -1, dtype=np.intp)
+            position[ids] = np.arange(ids.shape[0])
+            neighbors = position[targets].tolist()
+            pair_rows: List[Tuple[Tuple[int, float], ...]] = []
+            start = 0
+            for length in lengths:
+                end = start + length
+                pair_rows.append(tuple(zip(neighbors[start:end], weights[start:end])))
+                start = end
+            labels = ids.tolist()
+            self._weighted = WeightedAdjacency(
+                labels, {u: p for p, u in enumerate(labels)}, pair_rows
+            )
+        return self._weighted
+
     def to_networkx(self) -> nx.Graph:
-        """The unit-disk graph with Euclidean edge weights (cached)."""
-        if self._nx_graph is None:
-            graph = nx.Graph()
-            for node in self.nodes:
-                if node.node_id in self._failed:
-                    continue
-                graph.add_node(node.node_id, location=node.location)
-            for node in self.nodes:
-                for other in self._adjacency.row_tuple(node.node_id):
-                    if other > node.node_id:
-                        graph.add_edge(
-                            node.node_id,
-                            other,
-                            weight=distance(node.location, self.nodes[other].location),
-                        )
-            self._nx_graph = graph
-        return self._nx_graph
+        """The unit-disk graph with Euclidean edge weights, as ``networkx``.
+
+        Built on each call from :meth:`weighted_adjacency`, in ascending
+        node and neighbor order, so the two can never disagree.  For
+        diagnostics such as :meth:`is_connected`; no routing path uses it.
+        """
+        labels, _, rows = self.weighted_adjacency()
+        graph = nx.Graph()
+        for u in labels:
+            graph.add_node(u, location=self.nodes[u].location)
+        for p, row in enumerate(rows):
+            for q, w in row:
+                if q > p:
+                    graph.add_edge(labels[p], labels[q], weight=w)
+        return graph
 
     def is_connected(self) -> bool:
         """Whether the unit-disk graph is a single component."""
@@ -972,7 +1024,7 @@ def attach_shared_network(
         else None
     )
     network._neighbor_arrays = [None] * count
-    network._nx_graph = None
+    network._weighted = None
     network._failed = set()
     network._shared_state = True
     return network

@@ -20,7 +20,7 @@ from typing import Dict, List, Set, Tuple
 from repro.packets import Destination, MulticastPacket
 from repro.routing.base import ForwardDecision, NodeView, RoutingProtocol
 from repro.network.graph import WirelessNetwork
-from repro.steiner.kmb import kmb_steiner_tree, tree_as_routing_schedule
+from repro.steiner.kmb import kmb_steiner_tree, tree_as_routing_schedule, unit_weights
 
 
 class SMTProtocol(RoutingProtocol):
@@ -51,8 +51,10 @@ class SMTProtocol(RoutingProtocol):
     ) -> None:
         """Compute the global KMB tree and the per-node forwarding schedule."""
         terminals = [source_id] + [d for d in destination_ids if d != source_id]
-        weight = "weight" if self.metric == "distance" else (lambda u, v, d: 1.0)
-        tree = kmb_steiner_tree(network.to_networkx(), terminals, weight=weight)
+        adjacency = network.weighted_adjacency()
+        if self.metric == "hops":
+            adjacency = unit_weights(adjacency)
+        tree = kmb_steiner_tree(adjacency, terminals)
         self._schedule = tree_as_routing_schedule(tree, source_id)
         # For each on-tree node, which destinations live strictly below it.
         self._subtree_destinations = {}
