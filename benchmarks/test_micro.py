@@ -21,11 +21,9 @@ from repro.linklayer import LinkLayer, LinkLayerConfig
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
 from repro.perf.cache import caches_disabled, clear_caches
-from repro.perf.kernels import vectorized_disabled
-from repro.perf.soa import soa_disabled
 from repro.routing import GMPProtocol, LGSProtocol, PBMProtocol, SMTProtocol
 from repro.simkit.rng import RandomStreams
-from repro.simkit.scheduler import CalendarScheduler, EventScheduler
+from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator
 from repro.steiner.kmb import kmb_steiner_tree
 from repro.steiner.mst import euclidean_mst
@@ -254,29 +252,12 @@ def _scale_task_instance(network, node_count, group_size=100):
 
 
 def test_bench_rrstr_5k_gmp_vectorized(benchmark, scale_network_5k):
-    """rrSTR tree for a 5k-node, k=100 GMP task — batched kernels on.
-
-    Paired with ``test_bench_rrstr_5k_gmp_scalar`` below: the median ratio
-    between the two is the vectorization speedup on the GMP hot path
-    (>= 3x on the reference machine; see docs/PERFORMANCE.md).
-    """
+    """rrSTR tree for a 5k-node, k=100 GMP task, Fermat memo cold."""
     source, dests = _scale_task_instance(scale_network_5k, 5000)
 
     def build():
         clear_caches()
         with caches_disabled():
-            return rrstr(source, dests, 150.0)
-
-    benchmark.pedantic(build, rounds=7, iterations=1, warmup_rounds=1)
-
-
-def test_bench_rrstr_5k_gmp_scalar(benchmark, scale_network_5k):
-    """The same 5k-node GMP tree with ``vectorized_disabled()`` — the A arm."""
-    source, dests = _scale_task_instance(scale_network_5k, 5000)
-
-    def build():
-        clear_caches()
-        with caches_disabled(), vectorized_disabled():
             return rrstr(source, dests, 150.0)
 
     benchmark.pedantic(build, rounds=7, iterations=1, warmup_rounds=1)
@@ -338,17 +319,12 @@ def test_bench_reprolint_whole_repo(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Struct-of-arrays core: network build + event-scheduler backends
+# Struct-of-arrays core: network build, worker attach, event scheduler
 # ----------------------------------------------------------------------
 
 
 def test_bench_network_build_5k_soa(benchmark):
-    """50k-regime adjacency construction: the ``unit_disk_rows`` CSR path.
-
-    Paired with ``test_bench_network_build_5k_legacy`` below: the median
-    ratio between the two is the SoA build speedup (~3x on the reference
-    machine; see docs/PERFORMANCE.md).
-    """
+    """50k-regime adjacency construction: the ``unit_disk_rows`` CSR path."""
     config = scaled_config(PaperConfig(), 5000)
     rng = np.random.default_rng(41)
     points = uniform_random_topology(
@@ -360,21 +336,6 @@ def test_bench_network_build_5k_soa(benchmark):
         iterations=1,
         warmup_rounds=1,
     )
-
-
-def test_bench_network_build_5k_legacy(benchmark):
-    """The same 5k-node build through the per-node object-graph scan."""
-    config = scaled_config(PaperConfig(), 5000)
-    rng = np.random.default_rng(41)
-    points = uniform_random_topology(
-        config.node_count, config.field_width_m, config.field_height_m, rng
-    )
-
-    def build():
-        with soa_disabled():
-            return build_network(points, RadioConfig())
-
-    benchmark.pedantic(build, rounds=5, iterations=1, warmup_rounds=1)
 
 
 @pytest.fixture(scope="module")
@@ -417,9 +378,7 @@ def _mac_like_schedule(scheduler, churn=60_000, live=30_000, seed=211):
     Mimics what the CSMA link layer generates at the 50k-node scale: tens
     of thousands of concurrently pending backoff/ACK/beacon timers with a
     dense sub-millisecond near-future band, churned hold-one-pop-one in
-    steady state.  The binary heap pays O(log live) per operation here;
-    the calendar queue's windows keep it O(1) amortized — this pair
-    measures that gap (the same stream, both backends).
+    steady state.
     """
     rng = np.random.default_rng(seed)
     delays = rng.uniform(1e-4, 5e-3, live + churn)
@@ -435,18 +394,8 @@ def _mac_like_schedule(scheduler, churn=60_000, live=30_000, seed=211):
     return live + churn
 
 
-def test_bench_scheduler_calendar(benchmark):
-    """Calendar-queue backend under the contended-MAC event stream."""
-    benchmark.pedantic(
-        lambda: _mac_like_schedule(CalendarScheduler()),
-        rounds=5,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
 def test_bench_scheduler_heap(benchmark):
-    """Binary-heap backend on the identical stream — the A arm of the pair."""
+    """The binary-heap scheduler under the contended-MAC event stream."""
     benchmark.pedantic(
         lambda: _mac_like_schedule(EventScheduler()),
         rounds=5,

@@ -34,7 +34,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.project import Project, ProjectModule
+from repro.analysis.project import Project, ProjectModule, walk
 
 #: A predicate over function qualnames, used to direct BFS searches.
 CallerGoal = Callable[[str], bool]
@@ -108,8 +108,10 @@ class CallGraph:
         #: method name → sorted qualnames of every definition project-wide.
         self.method_index: Dict[str, List[str]] = {}
         #: Every identifier mentioned anywhere: ``Name.id``, attribute
-        #: names, import aliases and identifier-shaped string constants.
-        #: The raw material for reachability-style dead-code checks.
+        #: names, import aliases and identifier-shaped or dotted-path string
+        #: constants (each component of ``"pkg.mod.Class._helper"`` counts,
+        #: as registries such as ``SCALAR_REFERENCES`` name functions that
+        #: way).  The raw material for reachability-style dead-code checks.
         self.referenced_names: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -204,14 +206,15 @@ class CallGraph:
         return None
 
     def _collect_references(self, module: ProjectModule) -> None:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.Name):
                 self.referenced_names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 self.referenced_names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    self.referenced_names.add(node.value)
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    self.referenced_names.update(parts)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     self.referenced_names.add(alias.name.split(".")[-1])
@@ -241,7 +244,7 @@ class CallGraph:
         module: ProjectModule, node: ast.AST
     ) -> Dict[str, str]:
         bindings: Dict[str, str] = {}
-        for sub in ast.walk(node):
+        for sub in walk(node):
             if isinstance(sub, ast.Import):
                 for alias in sub.names:
                     name = alias.asname or alias.name.split(".")[0]
@@ -260,7 +263,7 @@ class CallGraph:
     @staticmethod
     def _iter_calls(node: ast.AST) -> Iterator[ast.Call]:
         """All calls in a function, nested defs and lambdas included."""
-        for sub in ast.walk(node):
+        for sub in walk(node):
             if isinstance(sub, ast.Call):
                 yield sub
 

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 from repro.analysis.callgraph import CallGraph, call_chain
 from repro.analysis.engine import LintConfig, ProjectRule, path_matches
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project, ProjectModule
+from repro.analysis.project import Project, ProjectModule, walk
 
 _FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -150,7 +150,7 @@ class CacheInvalidationRule(ProjectRule):
 
     def _mutated_attrs(self, node: ast.AST, guarded: frozenset) -> Set[str]:
         mutated: Set[str] = set()
-        for sub in ast.walk(node):
+        for sub in walk(node):
             targets: List[ast.expr] = []
             if isinstance(sub, ast.Assign):
                 targets = list(sub.targets)
@@ -178,7 +178,7 @@ class CacheInvalidationRule(ProjectRule):
         invalidators: frozenset,
     ) -> bool:
         # Direct call by name — robust even when graph resolution fails.
-        for sub in ast.walk(node):
+        for sub in walk(node):
             if isinstance(sub, ast.Call):
                 chain = call_chain(sub.func)
                 if chain is not None and chain[-1] in invalidators:
@@ -298,7 +298,6 @@ class KernelParityRule(ProjectRule):
             for stmt in module.tree.body
             if isinstance(stmt, _FUNCTION_TYPES)
             and not stmt.name.startswith("_")
-            and stmt.name not in config.kernel_exempt
         }
         registry_assignment = _module_assignment(module, "SCALAR_REFERENCES")
         registry: Dict[str, Tuple[ast.expr, int]] = {}
@@ -388,7 +387,7 @@ class KernelParityRule(ProjectRule):
             return None
         names: Set[str] = set()
         for module in test_modules:
-            for node in ast.walk(module.tree):
+            for node in walk(module.tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):

@@ -40,7 +40,7 @@ from typing import (
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.project import Project, ProjectModule
-from repro.analysis.suppressions import Comment, Directive, scan_comments
+from repro.analysis.suppressions import Comment, Directive
 
 #: Rule id reserved for files the parser rejects outright.
 PARSE_ERROR_RULE = "E000"
@@ -134,12 +134,6 @@ class LintConfig:
     )
     #: Modules holding batch kernels that need scalar references (R013).
     kernel_modules: Tuple[str, ...] = ("repro/perf/kernels.py",)
-    #: Public kernel-module functions exempt from the registry (toggles).
-    kernel_exempt: Tuple[str, ...] = (
-        "set_vectorized_enabled",
-        "vectorized_enabled",
-        "vectorized_disabled",
-    )
     #: Modules whose identifiers count as kernel parity-test coverage.
     kernel_test_scopes: Tuple[str, ...] = ("tests/perf/",)
     #: Module declaring DIGEST_INCLUDED_FIELDS / DIGEST_EXCLUDED_FIELDS.
@@ -191,18 +185,20 @@ def path_matches(path: str, patterns: Sequence[str]) -> bool:
 class ModuleContext:
     """Everything a module rule may look at for one module."""
 
-    def __init__(self, path: str, source: str, tree: ast.AST, config: LintConfig) -> None:
+    def __init__(
+        self,
+        path: str,
+        source: str,
+        tree: ast.AST,
+        config: LintConfig,
+        comments: List[Comment],
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
         self.config = config
-        self._comments: Optional[List[Comment]] = None
-
-    @property
-    def comments(self) -> List[Comment]:
-        if self._comments is None:
-            self._comments = scan_comments(self.source)
-        return self._comments
+        #: The module's comments, tokenized once by ``ProjectModule``.
+        self.comments = comments
 
     @property
     def filename(self) -> str:
@@ -419,7 +415,11 @@ def analyze_project(
     raw: List[Finding] = []
     for module in sorted(project.modules, key=lambda m: m.path):
         ctx = ModuleContext(
-            path=module.path, source=module.source, tree=module.tree, config=config
+            path=module.path,
+            source=module.source,
+            tree=module.tree,
+            config=config,
+            comments=module.comments,
         )
         for rule in rules:
             if isinstance(rule, Rule):

@@ -29,7 +29,12 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.analysis.suppressions import SuppressionIndex, build_suppression_index
+from repro.analysis.suppressions import (
+    Comment,
+    SuppressionIndex,
+    scan_comments,
+    suppression_index,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.callgraph import CallGraph
@@ -66,6 +71,36 @@ def module_name_for(path: str, root: str = "") -> str:
     return ".".join(parts) if parts else "module"
 
 
+#: Attribute under which :func:`walk` keeps a node's walk.
+_WALK_ATTR = "_reprolint_walk"
+
+
+def walk(node: ast.AST) -> List[ast.AST]:
+    """``list(ast.walk(node))``, computed once per node and kept on it.
+
+    The module rules, the call graph, taint and the contract checks all
+    iterate the same module and function trees, and walking dominates lint
+    time, so each tree is walked once and every later pass reuses the
+    list.  Same breadth-first order as :func:`ast.walk`.
+    """
+    found: Optional[List[ast.AST]] = node.__dict__.get(_WALK_ATTR)
+    if found is not None:
+        return found
+    nodes: List[ast.AST] = [node]
+    index = 0
+    while index < len(nodes):
+        current = nodes[index]
+        index += 1
+        for name in current._fields:
+            value = getattr(current, name, None)
+            if isinstance(value, ast.AST):
+                nodes.append(value)
+            elif isinstance(value, list):
+                nodes.extend(item for item in value if isinstance(item, ast.AST))
+    setattr(node, _WALK_ATTR, nodes)
+    return nodes
+
+
 @dataclass(frozen=True)
 class ImportEdge:
     """One import statement, resolved to a dotted target module."""
@@ -95,7 +130,10 @@ class ProjectModule:
         self.name = name
         self.source = source
         self.tree = tree
-        self.suppressions: SuppressionIndex = build_suppression_index(source)
+        #: Tokenized once; the suppression index and the comment rules
+        #: (via ``ModuleContext.comments``) share this list.
+        self.comments: List[Comment] = scan_comments(source)
+        self.suppressions: SuppressionIndex = suppression_index(self.comments)
         #: def/class line → decorator lines, so a suppression comment on a
         #: decorator line also covers findings anchored at the decorated def.
         self.line_aliases: Dict[int, Tuple[int, ...]] = self._build_line_aliases(tree)
@@ -108,7 +146,7 @@ class ProjectModule:
     @staticmethod
     def _build_line_aliases(tree: ast.Module) -> Dict[int, Tuple[int, ...]]:
         aliases: Dict[int, Tuple[int, ...]] = {}
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) and node.decorator_list:

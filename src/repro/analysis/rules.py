@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type, U
 
 from repro.analysis.engine import ModuleContext, Rule
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.project import walk
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 _FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -47,7 +48,7 @@ def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
 def _scopes(tree: ast.AST) -> Iterator[ast.AST]:
     """The module scope and every (possibly nested) function scope."""
     yield tree
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, _FUNCTION_TYPES):
             yield node
 
@@ -88,7 +89,7 @@ class SeededRandomnessRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_module(ctx.config.rng_modules):
             return
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
@@ -149,7 +150,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             parts = _name_parts(node.func)
@@ -294,7 +295,7 @@ class FloatEqualityRule(Rule):
         if ctx.in_module(ctx.config.epsilon_modules):
             return
         distance_calls = frozenset(ctx.config.distance_functions)
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -337,7 +338,7 @@ class MutableDefaultRule(Rule):
     _MUTABLE_CALLS = frozenset(["list", "dict", "set", "bytearray"])
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, _FUNCTION_TYPES):
                 continue
             defaults = list(node.args.defaults) + [
@@ -366,7 +367,7 @@ class MutableDefaultRule(Rule):
 
 def _protocol_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
     """Classes directly subclassing ``RoutingProtocol``."""
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ClassDef) and any(
             _name_parts(base)[-1:] == ("RoutingProtocol",) for base in node.bases
         ):
@@ -473,7 +474,7 @@ class ProtocolContractRule(Rule):
         init = methods.get("__init__")
         if init is None:
             return False
-        for node in ast.walk(init):
+        for node in walk(init):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (
@@ -544,7 +545,7 @@ class StatelessProtocolRule(Rule):
                 return f"{node.value.id}.{node.attr}"
             return None
 
-        for node in ast.walk(method):
+        for node in walk(method):
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
@@ -666,7 +667,7 @@ class BareExceptRule(Rule):
     fix_hint = "catch a specific exception type (or Exception if truly broad)"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(ctx, node, "bare except: hides real failures")
 

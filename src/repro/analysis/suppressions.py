@@ -20,7 +20,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 _DIRECTIVE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -104,10 +104,15 @@ def _parse_directive(text: str) -> Iterator[str]:
 
 def build_suppression_index(source: str) -> SuppressionIndex:
     """Parse every suppression directive in ``source``."""
+    return suppression_index(scan_comments(source))
+
+
+def suppression_index(comments: Sequence[Comment]) -> SuppressionIndex:
+    """The suppression index of already-scanned ``comments``."""
     file_level: List[str] = []
     by_line: Dict[int, FrozenSet[str]] = {}
     directives: List[Directive] = []
-    for comment in scan_comments(source):
+    for comment in comments:
         rules: Tuple[str, ...] = tuple(_parse_directive(comment.text))
         if not rules:
             continue

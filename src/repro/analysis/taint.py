@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Set, Tuple, Type
 from repro.analysis.callgraph import call_chain
 from repro.analysis.engine import LintConfig, ProjectRule, path_matches
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project
+from repro.analysis.project import Project, walk
 
 #: Unseeded global-RNG call tails (mirrors R001's table).
 _RNG_TAILS = frozenset(
@@ -101,7 +101,7 @@ def iter_sources(node: ast.AST) -> Iterator[TaintSource]:
     enclosing function, which is where the call graph attributes them.
     """
     seen: Set[Tuple[int, int]] = set()
-    for sub in ast.walk(node):
+    for sub in walk(node):
         source: Optional[TaintSource] = None
         if isinstance(sub, ast.Call):
             source = _call_source(sub)

@@ -15,12 +15,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import Point, distance_sq, midpoint
-from repro.perf.kernels import (
-    MIN_BATCH,
-    gabriel_keep_mask,
-    rng_keep_mask,
-    vectorized_enabled,
-)
+from repro.perf.kernels import MIN_BATCH, gabriel_keep_mask, rng_keep_mask
 
 
 def _neighbor_coords(
@@ -43,7 +38,7 @@ def gabriel_neighbors(
     exact, not an approximation.
     """
     u = location_of(node_id)
-    if vectorized_enabled() and len(neighbor_ids) >= MIN_BATCH:
+    if len(neighbor_ids) >= MIN_BATCH:
         mask = gabriel_keep_mask(u, _neighbor_coords(neighbor_ids, location_of))
         return tuple(v for v, keep in zip(neighbor_ids, mask) if keep)
     kept: List[int] = []
@@ -76,7 +71,7 @@ def rng_neighbors(
     ``u``'s neighbor table, so the local computation is exact.
     """
     u = location_of(node_id)
-    if vectorized_enabled() and len(neighbor_ids) >= MIN_BATCH:
+    if len(neighbor_ids) >= MIN_BATCH:
         mask = rng_keep_mask(u, _neighbor_coords(neighbor_ids, location_of))
         return tuple(v for v, keep in zip(neighbor_ids, mask) if keep)
     kept: List[int] = []

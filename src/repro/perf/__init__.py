@@ -5,9 +5,9 @@ Three cooperating modules, none of which may change simulation *results*:
 * :mod:`repro.perf.counters` — process-local cache hit/miss counters and
   stage wall-time accounting (with an *injected* clock, so simulation code
   never reads the wall clock itself — reprolint R002).
-* :mod:`repro.perf.cache` — memoization of the per-hop geometry hot path
-  (Fermat points, reduction ratios, rrSTR trees), keyed on exact coordinate
-  tuples so a hit is bit-identical to a fresh computation.
+* :mod:`repro.perf.cache` — memoization of the per-hop Fermat points,
+  keyed on exact coordinate tuples so a hit is bit-identical to a fresh
+  computation.
 * :mod:`repro.perf.parallel` — a deterministic process-pool runner that
   shards independent work units and merges results in canonical submission
   order, guaranteeing parallel output identical to the serial run.
@@ -18,11 +18,8 @@ Three cooperating modules, none of which may change simulation *results*:
 """
 
 from repro.perf.cache import (
-    TreeCache,
     cache_stats,
     cached_fermat_point,
-    cached_reduction_ratio_pairs,
-    cached_reduction_ratio_point,
     caches_disabled,
     caching_enabled,
     clear_caches,
@@ -48,20 +45,13 @@ from repro.perf.kernels import (
     pair_indices,
     reduction_ratio_batch,
     rng_keep_mask,
-    set_vectorized_enabled,
     unit_disk_rows,
-    vectorized_disabled,
-    vectorized_enabled,
 )
 from repro.perf.parallel import run_units
-from repro.perf.soa import set_soa_enabled, soa_disabled, soa_enabled
 
 __all__ = [
-    "TreeCache",
     "cache_stats",
     "cached_fermat_point",
-    "cached_reduction_ratio_pairs",
-    "cached_reduction_ratio_point",
     "caches_disabled",
     "caching_enabled",
     "clear_caches",
@@ -84,11 +74,5 @@ __all__ = [
     "pairwise_distances",
     "reduction_ratio_batch",
     "rng_keep_mask",
-    "set_vectorized_enabled",
     "unit_disk_rows",
-    "vectorized_disabled",
-    "vectorized_enabled",
-    "set_soa_enabled",
-    "soa_disabled",
-    "soa_enabled",
 ]

@@ -1,59 +1,42 @@
-"""Hot-path geometry memoization: Fermat points, reduction ratios, rrSTR trees.
+"""Hot-path geometry memoization: Fermat points.
 
-Every cache here is a *pure* memo: keys are exact coordinate tuples, values
+The cache here is a *pure* memo: keys are exact coordinate tuples, values
 are exactly what the underlying computation returns, so a hit is
 bit-identical to a fresh computation and simulation results cannot depend on
-cache state (enforced by ``tests/perf/test_cache.py``).  Caches are
+cache state (enforced by ``tests/perf/test_cache.py``).  The cache is
 process-local; parallel workers each warm their own.
 
-The per-hop redundancy being removed (paper Section 4.2): rrSTR's greedy
-merge calls ``reduction_ratio_point`` for every destination pair, and the
+The per-hop redundancy being removed (paper Section 4.2): rrSTR's
 refinement passes recompute Fermat points of the same vertex triples once
-per pass; across the hops of one multicast task, perimeter-mode revisits and
-repeated tasks rebuild identical rrSTR trees from scratch.
+per pass, and across the hops of one multicast task.  Hit rates per
+workload are in ``perfbench/NOTES.md``.
 
 ``set_caching_enabled(False)`` (or the :func:`caches_disabled` context
-manager) turns every cache into a pass-through for A/B correctness tests and
+manager) turns the cache into a pass-through for A/B correctness tests and
 for the cold-path microbenchmarks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import (
-    Dict,
-    Generic,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, Iterator, Tuple
 
 from repro.geometry.fermat import fermat_point
 from repro.geometry.point import Point
 from repro.perf.counters import GLOBAL_COUNTERS
-# NOTE: ``repro.steiner.reduction_ratio`` is imported lazily inside
-# ``cached_reduction_ratio_point``: the steiner package imports this module
-# (rrSTR uses the caches), and the network layer now imports ``repro.perf``
-# for the batched kernels, so an eager import here would close an import
-# cycle network -> perf -> steiner -> perf.
 
 _ENABLED = True
 
-#: Entry caps; a full cache is flushed outright (cheap, and the memo is
+#: Entry cap; a full cache is flushed outright (cheap, and the memo is
 #: warm again within one task).  Keys are 6-float tuples, so the resident
 #: set stays in the tens of MB even at the cap.
 _POINT_CACHE_CAP = 200_000
 
 _FERMAT_CACHE: Dict[Tuple[float, ...], Point] = {}
-_RR_CACHE: Dict[Tuple[float, ...], Tuple[float, Point]] = {}
 
 
 def set_caching_enabled(enabled: bool) -> None:
-    """Globally enable/disable every perf cache (results are unaffected)."""
+    """Globally enable/disable the Fermat memo (results are unaffected)."""
     global _ENABLED
     _ENABLED = bool(enabled)
 
@@ -64,7 +47,7 @@ def caching_enabled() -> bool:
 
 @contextmanager
 def caches_disabled() -> Iterator[None]:
-    """Run a block with all perf caches bypassed (for A/B equality tests)."""
+    """Run a block with the Fermat memo bypassed (for A/B equality tests)."""
     previous = _ENABLED
     set_caching_enabled(False)
     try:
@@ -76,21 +59,19 @@ def caches_disabled() -> Iterator[None]:
 def clear_caches() -> None:
     """Drop all memoized geometry (counters are left alone)."""
     _FERMAT_CACHE.clear()
-    _RR_CACHE.clear()
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:
-    """Current hit/miss/size stats of the module-level geometry caches."""
-    out = {}
-    for name, store in (("fermat_point", _FERMAT_CACHE), ("reduction_ratio", _RR_CACHE)):
-        ctr = GLOBAL_COUNTERS.counter(name)
-        out[name] = {
+    """Current hit/miss/size stats of the module-level geometry cache."""
+    ctr = GLOBAL_COUNTERS.counter("fermat_point")
+    return {
+        "fermat_point": {
             "hits": float(ctr.hits),
             "misses": float(ctr.misses),
             "hit_rate": ctr.hit_rate,
-            "entries": float(len(store)),
+            "entries": float(len(_FERMAT_CACHE)),
         }
-    return out
+    }
 
 
 def cached_fermat_point(a: Point, b: Point, c: Point) -> Point:
@@ -109,128 +90,3 @@ def cached_fermat_point(a: Point, b: Point, c: Point) -> Point:
         _FERMAT_CACHE.clear()
     _FERMAT_CACHE[key] = result
     return result
-
-
-def cached_reduction_ratio_point(
-    s: Point, u: Point, v: Point
-) -> Tuple[float, Point]:
-    """Memoized :func:`repro.steiner.reduction_ratio.reduction_ratio_point`."""
-    from repro.steiner.reduction_ratio import reduction_ratio_point
-
-    if not _ENABLED:
-        return reduction_ratio_point(s, u, v)
-    key = (s[0], s[1], u[0], u[1], v[0], v[1])
-    counter = GLOBAL_COUNTERS.counter("reduction_ratio")
-    found = _RR_CACHE.get(key)
-    if found is not None:
-        counter.hits += 1
-        return found
-    counter.misses += 1
-    result = reduction_ratio_point(s, u, v)
-    if len(_RR_CACHE) >= _POINT_CACHE_CAP:
-        _RR_CACHE.clear()
-    _RR_CACHE[key] = result
-    return result
-
-
-def cached_reduction_ratio_pairs(
-    s: Point, pairs: "Sequence[Tuple[Point, Point]]"
-) -> "List[Tuple[float, Tuple[float, float]]]":
-    """Memoized batch reduction ratios: ``[(rr, (tx, ty)), ...]`` per pair.
-
-    The batch analogue of :func:`cached_reduction_ratio_point`: known pairs
-    are served from the same ``_RR_CACHE`` the scalar path populates, and
-    only the misses go through one
-    :func:`repro.perf.kernels.reduction_ratio_batch` call (whose rows are
-    bit-identical to the scalar function).  With caching disabled the whole
-    batch is computed fresh — exactly like the scalar pass-through.
-    """
-    import numpy as np
-
-    from repro.perf.kernels import reduction_ratio_batch
-
-    if not _ENABLED:
-        us = np.array([[u[0], u[1]] for u, _ in pairs], dtype=float)
-        vs = np.array([[v[0], v[1]] for _, v in pairs], dtype=float)
-        rr_arr, t_arr = reduction_ratio_batch(s, us, vs)
-        return [
-            (rr, (tx, ty))
-            for rr, (tx, ty) in zip(rr_arr.tolist(), t_arr.tolist())
-        ]
-    counter = GLOBAL_COUNTERS.counter("reduction_ratio")
-    sx, sy = s[0], s[1]
-    results: List[Tuple[float, Tuple[float, float]]] = []
-    miss_indices: List[int] = []
-    for i, (u, v) in enumerate(pairs):
-        found = _RR_CACHE.get((sx, sy, u[0], u[1], v[0], v[1]))
-        if found is not None:
-            counter.hits += 1
-            rr, t = found
-            results.append((rr, (t[0], t[1])))
-        else:
-            counter.misses += 1
-            miss_indices.append(i)
-            results.append((0.0, (0.0, 0.0)))  # overwritten from the batch
-    if miss_indices:
-        us = np.array([[pairs[i][0][0], pairs[i][0][1]] for i in miss_indices])
-        vs = np.array([[pairs[i][1][0], pairs[i][1][1]] for i in miss_indices])
-        rr_arr, t_arr = reduction_ratio_batch(s, us, vs)
-        for pos, i in enumerate(miss_indices):
-            rr = float(rr_arr[pos])
-            tx = float(t_arr[pos, 0])
-            ty = float(t_arr[pos, 1])
-            u, v = pairs[i]
-            if len(_RR_CACHE) >= _POINT_CACHE_CAP:
-                _RR_CACHE.clear()
-            _RR_CACHE[(sx, sy, u[0], u[1], v[0], v[1])] = (rr, Point(tx, ty))
-            results[i] = (rr, (tx, ty))
-    return results
-
-
-V = TypeVar("V")
-
-
-class TreeCache(Generic[V]):
-    """Bounded memo for mutable values exposing a ``copy()`` method.
-
-    Used by :class:`repro.routing.gmp.GMPProtocol` to reuse rrSTR trees:
-    GMP's splitting step *mutates* the tree it routes with, so the cache
-    stores a pristine copy at :meth:`put` and hands out a fresh copy on
-    every :meth:`get` — callers own their value outright.
-
-    Eviction is FIFO over insertion order (plain dict order), which is
-    deterministic under any ``PYTHONHASHSEED``.
-    """
-
-    def __init__(self, name: str, max_entries: int = 50_000) -> None:
-        if max_entries < 1:
-            raise ValueError(f"cache needs at least one entry, got {max_entries}")
-        self._name = name
-        self._max_entries = max_entries
-        self._store: Dict[Hashable, V] = {}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: Hashable) -> Optional[V]:
-        """A private copy of the cached value, or ``None`` (miss / disabled)."""
-        if not _ENABLED:
-            return None
-        counter = GLOBAL_COUNTERS.counter(self._name)
-        found = self._store.get(key)
-        if found is None:
-            counter.misses += 1
-            return None
-        counter.hits += 1
-        return found.copy()  # type: ignore[attr-defined]
-
-    def put(self, key: Hashable, value: V) -> None:
-        """Store a pristine copy of ``value`` (no-op while disabled)."""
-        if not _ENABLED:
-            return
-        if len(self._store) >= self._max_entries:
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = value.copy()  # type: ignore[attr-defined]
-
-    def clear(self) -> None:
-        self._store.clear()

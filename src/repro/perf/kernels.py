@@ -14,7 +14,8 @@ kernel                    scalar reference
 ``unit_disk_rows``        ``WirelessNetwork._build_neighbor_lists`` (whole graph)
 ``gabriel_keep_mask``     :func:`repro.network.planar.gabriel_neighbors`
 ``rng_keep_mask``         :func:`repro.network.planar.rng_neighbors`
-``nearest_index`` etc.    the next-hop argmin scans in :mod:`repro.routing.greedy`
+``nearest_index`` etc.    per-row :func:`repro.geometry.point.distance_sq` /
+                          :func:`repro.routing.greedy.total_distance`
 ========================  =================================================
 
 Bit-identity is achievable because the scalar layer restricts itself to
@@ -26,36 +27,31 @@ algorithm — which is why :func:`repro.geometry.point.distance` uses the
 ``sqrt(dx*dx + dy*dy)`` form.  The equality is enforced two ways: seeded
 property tests assert ``==`` (not ``allclose``) against the scalar reference
 over thousands of random and degenerate inputs, and the experiment digests
-(:mod:`repro.engine.digest`) must be byte-identical with vectorization on
-and off.
+(:mod:`repro.engine.digest`) must be byte-identical with every call site's
+size gate forced to its scalar side.
 
 Rows that reach a scalar code path with data-dependent control flow (the
 parallel-Simpson-line fallback and the Weiszfeld fallback inside
 ``fermat_point``) are delegated to the scalar function per-row; they are a
 vanishing fraction of real workloads.
 
-``set_vectorized_enabled(False)`` (or the :func:`vectorized_disabled`
-context manager) routes every call site back to its scalar loop, mirroring
-``repro.perf.cache.set_caching_enabled`` — the A/B switch behind the digest
-equality tests and the cold-path microbenchmarks.  Each kernel invocation is
-tallied in :data:`~repro.perf.counters.GLOBAL_COUNTERS` under
-``vector.<name>`` (batch count and total items), surfaced by the CLI
-``--perf`` report.
+Call sites choose between kernel and scalar loop by batch size alone
+(:data:`MIN_BATCH`); the scalar loops below each gate double as the parity
+oracles.  Each kernel invocation is tallied in
+:data:`~repro.perf.counters.GLOBAL_COUNTERS` under ``vector.<name>`` (batch
+count and total items), surfaced by the CLI ``--perf`` report.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.fermat import fermat_point
 from repro.geometry.point import Point
 from repro.perf.counters import GLOBAL_COUNTERS
-
-_ENABLED = True
 
 #: Kernel name → dotted path of the scalar routine it must match bit-for-bit.
 #: reprolint R013 checks this table: every public kernel below needs an entry
@@ -73,7 +69,7 @@ SCALAR_REFERENCES: Dict[str, str] = {
     "distances_to": "repro.geometry.point.distance",
     "pairwise_distances": "repro.geometry.point.distance",
     "distances_sq_to": "repro.geometry.point.distance_sq",
-    "nearest_index": "repro.routing.greedy.closest_neighbor_to",
+    "nearest_index": "repro.geometry.point.distance_sq",
     "group_distance_sums": "repro.routing.greedy.total_distance",
 }
 
@@ -94,27 +90,6 @@ _COS_CCW = math.cos(math.pi / 3.0)
 _SIN_CCW = math.sin(math.pi / 3.0)
 _COS_CW = math.cos(-math.pi / 3.0)
 _SIN_CW = math.sin(-math.pi / 3.0)
-
-
-def set_vectorized_enabled(enabled: bool) -> None:
-    """Globally enable/disable the batched kernels (results are unaffected)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def vectorized_enabled() -> bool:
-    return _ENABLED
-
-
-@contextmanager
-def vectorized_disabled() -> Iterator[None]:
-    """Run a block with every call site on its scalar path (A/B testing)."""
-    previous = _ENABLED
-    set_vectorized_enabled(False)
-    try:
-        yield
-    finally:
-        set_vectorized_enabled(previous)
 
 
 def _record(name: str, size: int) -> None:

@@ -26,11 +26,7 @@ def closest_neighbor_to(view: NodeView, target: Point) -> Optional[int]:
     ids = view.neighbor_ids
     if not ids:
         return None
-    locations = view.neighbor_location_array()
-    if kernels.vectorized_enabled():
-        return ids[kernels.nearest_index(locations, target)]
-    deltas = locations - np.asarray([target[0], target[1]])
-    return ids[int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))]
+    return ids[kernels.nearest_index(view.neighbor_location_array(), target)]
 
 
 def greedy_next_hop(view: NodeView, target: Point) -> Optional[int]:
@@ -42,12 +38,7 @@ def greedy_next_hop(view: NodeView, target: Point) -> Optional[int]:
     ids = view.neighbor_ids
     if not ids:
         return None
-    locations = view.neighbor_location_array()
-    if kernels.vectorized_enabled():
-        dists = np.sqrt(kernels.distances_sq_to(locations, target))
-    else:
-        deltas = locations - np.asarray([target[0], target[1]])
-        dists = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+    dists = np.sqrt(kernels.distances_sq_to(view.neighbor_location_array(), target))
     own = distance(view.location, target)
     best_idx = int(np.argmin(dists))
     if dists[best_idx] < own - PROGRESS_EPSILON:
@@ -61,14 +52,7 @@ def group_distance_sums(view: NodeView, group_locations: Sequence[Point]) -> np.
     Vectorized backbone of GMP/PBM next-hop selection: entry ``i`` is
     ``sum_z d(neighbor_i, z)`` aligned with ``view.neighbor_ids``.
     """
-    locations = view.neighbor_location_array()
-    if locations.shape[0] == 0 or not group_locations:
-        return np.zeros(locations.shape[0], dtype=float)
-    if kernels.vectorized_enabled():
-        return kernels.group_distance_sums(locations, group_locations)
-    targets = np.asarray([[p[0], p[1]] for p in group_locations])
-    diff = locations[:, None, :] - targets[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
+    return kernels.group_distance_sums(view.neighbor_location_array(), group_locations)
 
 
 def best_neighbor_for_group(
@@ -91,9 +75,5 @@ def best_neighbor_for_group(
     if eligible.size == 0:
         return None
     locations = view.neighbor_location_array()[eligible]
-    if kernels.vectorized_enabled():
-        pivot_dists = kernels.distances_sq_to(locations, pivot_location)
-    else:
-        deltas = locations - np.asarray([pivot_location[0], pivot_location[1]])
-        pivot_dists = np.einsum("ij,ij->i", deltas, deltas)
+    pivot_dists = kernels.distances_sq_to(locations, pivot_location)
     return ids[int(eligible[int(np.argmin(pivot_dists))])]

@@ -1,18 +1,14 @@
-"""Event schedulers: a binary-heap reference and a calendar queue.
+"""The event scheduler: a binary heap ordered by ``(time, sequence)``.
 
-Both order events strictly by ``(time, sequence)`` — the insertion-order
-tiebreak that makes every run deterministic — and expose the same interface,
-so :class:`repro.simkit.simulator.Simulator` can swap one for the other
-(``repro.perf.soa.set_soa_enabled``) without any observable difference in
-results.  The property tests drive both with identical seeded workloads and
-assert the popped event streams are exactly equal.
+The insertion-order ``sequence`` tiebreak is what makes every run
+deterministic.  The shipping presets keep few enough events live that a
+heap is the simplest fast queue (peak counts in ``perfbench/NOTES.md``).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.simkit.event import Event
 
@@ -20,9 +16,7 @@ from repro.simkit.event import Event
 class EventScheduler:
     """Priority queue of :class:`Event` ordered by ``(time, sequence)``.
 
-    The binary-heap reference implementation: O(log n) per operation,
-    obviously correct, and the ordering oracle for
-    :class:`CalendarScheduler`.
+    O(log n) per operation; cancelled events are skipped lazily on pop.
     """
 
     def __init__(self) -> None:
@@ -75,239 +69,3 @@ class EventScheduler:
         self._heap.clear()
         self._sequence = 0
         self._live = 0
-
-
-class CalendarScheduler:
-    """Calendar-queue scheduler tuned for dense near-future event streams.
-
-    The contended MAC schedules bursts of events a few microseconds to a few
-    milliseconds ahead (carrier-sense slots, backoff expiries, ACK
-    timeouts); with tens of thousands of timers pending at once — the
-    50k/100k-node regime — a calendar queue (Brown 1988) makes those
-    operations amortized O(1).  Virtual time is divided into fixed-``width``
-    windows assigned round-robin to ``bucket_count`` buckets; each bucket is
-    a small binary heap.  Window scanning maintains the invariant that every
-    event of the current window sits in the current bucket, so comparing the
-    bucket's heap top against the window bound yields the global minimum —
-    events pop in *exactly* ``(time, sequence)`` order, never approximately.
-
-    Small live populations stay in a plain binary heap instead: below a few
-    thousand pending events C-implemented ``heapq`` beats any pure-Python
-    window walk, so the calendar machinery only switches on once the live
-    count crosses ``_CALENDAR_ON`` (and back off below ``_CALENDAR_OFF`` —
-    the 4x hysteresis keeps a population hovering at the boundary from
-    thrashing).  Both representations pop in exactly the same order, so the
-    migrations are invisible to callers.
-
-    In calendar mode the bucket count doubles/halves as the live population
-    grows/shrinks, and each resize re-estimates ``width`` from the mean gap
-    between pending event times.  Every mode/shape decision depends only on
-    event counts, so the structure (and the popped order) is deterministic
-    for a given call sequence.  Cancellation is lazy, as in the reference.
-    """
-
-    _MIN_BUCKETS = 4
-    _MAX_BUCKETS = 1 << 17
-    #: Live-population bounds for heap <-> calendar migration.
-    _CALENDAR_ON = 4096
-    _CALENDAR_OFF = 1024
-
-    def __init__(self) -> None:
-        self._sequence = 0
-        self._live = 0
-        self._stored = 0  # live + lazily-cancelled events still stored
-        self._calendar = False
-        self._heap: List[Event] = []
-        self._setup(self._MIN_BUCKETS, 1.0, ())
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _setup(
-        self, bucket_count: int, width: float, events: Tuple[Event, ...]
-    ) -> None:
-        """(Re)build the calendar and re-bucket ``events`` (already sorted)."""
-        self._buckets: List[List[Event]] = [[] for _ in range(bucket_count)]
-        self._bucket_count = bucket_count
-        self._width = width
-        # Index of the window being drained; events in window w span
-        # [w*width, (w+1)*width) and live in bucket w % bucket_count.
-        self._window = int(events[0].time // width) if events else 0
-        self._stored = len(events)
-        for event in events:
-            heapq.heappush(
-                self._buckets[int(event.time // width) % bucket_count], event
-            )
-
-    def _pending_sorted(self) -> Tuple[Event, ...]:
-        """Live events in (time, sequence) order; drops cancelled ones."""
-        pending = [
-            event
-            for bucket in self._buckets
-            for event in bucket
-            if not event.cancelled
-        ]
-        pending.sort()
-        return tuple(pending)
-
-    def _resize(self, bucket_count: int) -> None:
-        events = self._pending_sorted()
-        self._setup(bucket_count, self._estimate_width(events), events)
-
-    def _to_calendar(self) -> None:
-        """Migrate the heap into calendar buckets (live count crossed up).
-
-        Seeds the calendar at half the trigger population's bucket count so
-        the doubling rule is immediately consistent; the width estimate
-        comes from the actual pending gaps, exactly as on a resize.
-        """
-        events = tuple(sorted(e for e in self._heap if not e.cancelled))
-        self._heap = []
-        self._calendar = True
-        bucket_count = max(self._MIN_BUCKETS, self._CALENDAR_ON // 2)
-        self._setup(bucket_count, self._estimate_width(events), events)
-
-    def _to_heap(self) -> None:
-        """Migrate calendar buckets back into a heap (live count crossed down)."""
-        events = self._pending_sorted()
-        self._calendar = False
-        self._setup(self._MIN_BUCKETS, self._width, ())
-        self._heap = list(events)  # a sorted list is a valid min-heap
-
-    def _estimate_width(self, events: Tuple[Event, ...]) -> float:
-        """Twice the mean positive gap between adjacent pending times.
-
-        Brown's rule of thumb: with windows about two mean gaps wide, a
-        window holds a couple of events on average — wide enough that the
-        scan rarely crosses empty windows, narrow enough that a bucket heap
-        stays tiny.  Falls back to the current width when the pending set
-        is degenerate (fewer than two distinct times).
-        """
-        gaps = 0.0
-        count = 0
-        for earlier, later in zip(events, events[1:]):
-            gap = later.time - earlier.time
-            if gap > 0.0:
-                gaps += gap
-                count += 1
-        if count == 0:
-            return self._width
-        width = 2.0 * gaps / count
-        if not math.isfinite(width) or width <= 0.0:
-            return self._width
-        return width
-
-    def schedule(self, time: float, action: Callable[[], Any], label: str = "") -> Event:
-        """Insert an event firing at ``time``; returns it for cancellation."""
-        if time < 0.0:
-            raise ValueError(f"cannot schedule an event at negative time {time!r}")
-        event = Event(time=time, sequence=self._sequence, action=action, label=label)
-        self._sequence += 1
-        self._live += 1
-        if not self._calendar:
-            heapq.heappush(self._heap, event)
-            if self._live > self._CALENDAR_ON:
-                self._to_calendar()
-            return event
-        window = int(time // self._width)
-        heapq.heappush(self._buckets[window % self._bucket_count], event)
-        if window < self._window:
-            # Earlier than the window being drained (the simulator never
-            # does this, but the scheduler does not rely on that): rewind
-            # so the scan cannot skip the new event.
-            self._window = window
-        self._stored += 1
-        if self._live > 2 * self._bucket_count and self._bucket_count < self._MAX_BUCKETS:
-            self._resize(self._bucket_count * 2)
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel ``event``; it will be skipped when popped."""
-        if not event.cancelled:
-            event.cancel()
-            self._live -= 1
-
-    def _current_bucket(self) -> Optional[List[Event]]:
-        """Advance the window scan to the bucket holding the earliest event.
-
-        On return the heap top of the returned bucket IS the global minimum
-        (and belongs to the current window), so the caller peeks or pops it
-        in O(1)/O(log bucket-size).  Returns ``None`` when no live event
-        remains.
-        """
-        if self._live == 0:
-            if self._stored:
-                # Everything left is cancelled — drop it all in one sweep.
-                self._setup(self._bucket_count, self._width, ())
-            return None
-        scanned = 0
-        while True:
-            bucket = self._buckets[self._window % self._bucket_count]
-            while bucket and bucket[0].cancelled:
-                heapq.heappop(bucket)
-                self._stored -= 1
-            if bucket and int(bucket[0].time // self._width) <= self._window:
-                return bucket
-            self._window += 1
-            scanned += 1
-            if scanned >= self._bucket_count:
-                # A full cycle of sparse windows: jump straight to the
-                # window of the earliest bucket-top instead of walking
-                # arbitrarily many empty windows.
-                best: Optional[Event] = None
-                for candidate in self._buckets:
-                    while candidate and candidate[0].cancelled:
-                        heapq.heappop(candidate)
-                        self._stored -= 1
-                    if candidate and (best is None or candidate[0] < best):
-                        best = candidate[0]
-                assert best is not None  # self._live > 0
-                self._window = int(best.time // self._width)
-                return self._buckets[self._window % self._bucket_count]
-
-    def pop_next(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or ``None`` if empty."""
-        if not self._calendar:
-            while self._heap:
-                event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._live -= 1
-                return event
-            return None
-        bucket = self._current_bucket()
-        if bucket is None:
-            return None
-        event = heapq.heappop(bucket)
-        self._live -= 1
-        self._stored -= 1
-        if self._live < self._CALENDAR_OFF:
-            self._to_heap()
-        elif (
-            self._live < self._bucket_count // 4
-            and self._bucket_count > self._MIN_BUCKETS
-        ):
-            self._resize(self._bucket_count // 2)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the earliest live event, or ``None`` if empty.
-
-        In calendar mode, leaves the window scan positioned on that event's
-        bucket, so the peek-then-pop pattern of the simulator main loop does
-        the window walk once, not twice.
-        """
-        if not self._calendar:
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-            return self._heap[0].time if self._heap else None
-        bucket = self._current_bucket()
-        return bucket[0].time if bucket else None
-
-    def clear(self) -> None:
-        """Drop every pending event and restart the sequence counter."""
-        self._sequence = 0
-        self._live = 0
-        self._calendar = False
-        self._heap = []
-        self._setup(self._MIN_BUCKETS, 1.0, ())

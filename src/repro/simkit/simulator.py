@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.perf.soa import soa_enabled
 from repro.simkit.event import Event
-from repro.simkit.scheduler import CalendarScheduler, EventScheduler
+from repro.simkit.scheduler import EventScheduler
 
 
 class SimulationError(RuntimeError):
@@ -19,17 +18,10 @@ class Simulator:
     Callbacks scheduled via :meth:`schedule_at` / :meth:`schedule_after` run
     with the clock advanced to their firing time.  The executive is
     re-entrant in the usual DES sense: callbacks may schedule further events.
-
-    The event queue backend follows ``repro.perf.soa.set_soa_enabled``: the
-    calendar queue by default, the binary-heap reference when disabled.
-    Both pop in identical ``(time, sequence)`` order, so the choice is
-    invisible to every layer above.
     """
 
     def __init__(self) -> None:
-        self._scheduler = (
-            CalendarScheduler() if soa_enabled() else EventScheduler()
-        )
+        self._scheduler = EventScheduler()
         self._now = 0.0
         self._events_processed = 0
         self._running = False

@@ -34,20 +34,15 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import Point, distance, nearly_equal_points
-from repro.perf.cache import (
-    cached_fermat_point,
-    cached_reduction_ratio_pairs,
-    cached_reduction_ratio_point,
-    caching_enabled,
-)
+from repro.perf.cache import cached_fermat_point
 from repro.perf.kernels import (
     MIN_BATCH,
     fermat_point_batch,
     pair_indices,
     pairwise_distances,
     reduction_ratio_batch,
-    vectorized_enabled,
 )
+from repro.steiner.reduction_ratio import reduction_ratio_point
 from repro.steiner.tree import SteinerTree
 
 #: Heap key guaranteed to sort after every true pair's key (-RR <= ~0) so
@@ -138,7 +133,7 @@ def rrstr(
             entry = (_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1])
         else:
             if precomputed is None:
-                rr, steiner = cached_reduction_ratio_point(
+                rr, steiner = reduction_ratio_point(
                     s, tree.vertex(u_vid).location, tree.vertex(v_vid).location
                 )
                 sx, sy = steiner[0], steiner[1]
@@ -156,17 +151,11 @@ def rrstr(
         Returns ``None`` when the batch is too small to beat the kernel
         dispatch overhead (the caller then takes the scalar path); results
         are bit-identical either way.  Each element is ``(rr, (tx, ty))``
-        with plain Python floats.  With caching enabled the memoized batch
-        variant is used so repeated instances stay as cheap as the scalar
-        warm path.
+        with plain Python floats.
         """
-        if not vectorized_enabled() or len(partner_vids) < MIN_BATCH:
+        if len(partner_vids) < MIN_BATCH:
             return None
         u_loc = tree.vertex(u_vid).location
-        if caching_enabled():
-            return cached_reduction_ratio_pairs(
-                s, [(u_loc, tree.vertex(v).location) for v in partner_vids]
-            )
         us = np.broadcast_to(
             np.array([u_loc[0], u_loc[1]], dtype=float), (len(partner_vids), 2)
         )
@@ -190,24 +179,11 @@ def rrstr(
     # pop.
     k = len(terminal_vids)
     seeded: Optional[List[Tuple[float, Sequence[float]]]] = None
-    if vectorized_enabled() and k * (k - 1) // 2 >= MIN_BATCH:
-        if caching_enabled():
-            locs_list = [tree.vertex(v).location for v in terminal_vids]
-            seeded = cached_reduction_ratio_pairs(
-                s,
-                [
-                    (locs_list[i], locs_list[j])
-                    for i in range(k)
-                    for j in range(i + 1, k)
-                ],
-            )
-        else:
-            locs = np.array(
-                [tree.vertex(v).location for v in terminal_vids], dtype=float
-            )
-            row, col = pair_indices(k)
-            rr_arr, t_arr = reduction_ratio_batch(s, locs[row], locs[col])
-            seeded = list(zip(rr_arr.tolist(), t_arr.tolist()))
+    if k * (k - 1) // 2 >= MIN_BATCH:
+        locs = np.array([tree.vertex(v).location for v in terminal_vids], dtype=float)
+        row, col = pair_indices(k)
+        rr_arr, t_arr = reduction_ratio_batch(s, locs[row], locs[col])
+        seeded = list(zip(rr_arr.tolist(), t_arr.tolist()))
     pair_pos = 0
     for i, u_vid in enumerate(terminal_vids):
         u_loc = tree.vertex(u_vid).location
@@ -215,7 +191,7 @@ def rrstr(
         sequence += 1
         for v_vid in terminal_vids[i + 1 :]:
             if seeded is None:
-                rr, steiner = cached_reduction_ratio_point(
+                rr, steiner = reduction_ratio_point(
                     s, u_loc, tree.vertex(v_vid).location
                 )
                 sx, sy = steiner[0], steiner[1]
@@ -394,7 +370,7 @@ def refine_tree(
         # floats, computed once instead of per (vertex, candidate) probe.
         scan_vertices = list(tree.vertices())
         distance_matrix: Optional[np.ndarray] = None
-        if vectorized_enabled() and len(scan_vertices) >= MIN_BATCH:
+        if len(scan_vertices) >= MIN_BATCH:
             coords = np.array([v.location for v in scan_vertices], dtype=float)
             distance_matrix = pairwise_distances(coords)
         path_cache: dict = {}
@@ -519,7 +495,7 @@ def _insert_virtuals(
             threshold = radio_range if radio_range is not None else 1e-9
             best = None
             pair_count = len(kids) * (len(kids) - 1) // 2
-            if vectorized_enabled() and pair_count >= MIN_BATCH:
+            if pair_count >= MIN_BATCH:
                 best = _best_insertion_batch(tree, kids, p_loc, threshold)
             else:
                 for i, c1 in enumerate(kids):

@@ -121,23 +121,6 @@ class SteinerTree:
         self._children[parent].remove(child_vid)
         return parent
 
-    def copy(self) -> "SteinerTree":
-        """Structure-preserving deep copy: same vids, parents, child order.
-
-        Vertices are fresh objects (refinement rebinds ``location``), while
-        :class:`~repro.geometry.Point` instances are shared — they are
-        immutable.  Used by the rrSTR tree cache: GMP's splitting step
-        mutates the tree it routes with, so cached trees are handed out as
-        private copies.
-        """
-        clone = SteinerTree.__new__(SteinerTree)
-        clone._vertices = [
-            TreeVertex(v.vid, v.location, v.kind, v.ref) for v in self._vertices
-        ]
-        clone._parent = dict(self._parent)
-        clone._children = {vid: list(kids) for vid, kids in self._children.items()}
-        return clone
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

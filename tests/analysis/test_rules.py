@@ -368,3 +368,26 @@ def test_rendered_finding_names_the_rule(rule_id):
     rendered = findings[0].render()
     assert rule_id in rendered
     assert case.path in rendered
+
+
+@pytest.mark.parametrize(
+    "mention, alive",
+    [
+        ("'repro.network.fixture.Net._scalar'", True),
+        ("'see Net._scalar for details'", False),
+    ],
+)
+def test_dead_code_counts_dotted_path_strings_as_references(mention, alive):
+    """A registry naming a private function by dotted path keeps it alive."""
+    source = (
+        f"REGISTRY = {{'kernel': {mention}}}\n"
+        "\n"
+        "class Net:\n"
+        "    def _scalar(self):\n"
+        "        return 0\n"
+    )
+    report = analyze_project(
+        Project.from_sources({"src/repro/network/fixture.py": source})
+    )
+    dead = [f for f in report.findings if f.rule_id == "R016"]
+    assert (dead == []) is alive

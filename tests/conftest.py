@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -46,3 +51,25 @@ def grid_network():
 def rng():
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(7)
+
+
+#: Every size gate between a batched kernel and its scalar loop, as the
+#: ``(module, name)`` binding the call site reads at call time.
+SIZE_GATES = (
+    ("repro.steiner.rrstr", "MIN_BATCH"),
+    ("repro.network.planar", "MIN_BATCH"),
+    ("repro.network.graph", "_QUERY_BATCH_MIN"),
+)
+
+
+@contextmanager
+def scalar_gates() -> Iterator[None]:
+    """Run a block with every kernel call site on its scalar loop.
+
+    The scalar loops are the parity oracles of the batched kernels; raising
+    each gate above any batch size is how a test compares the two paths.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for module_name, name in SIZE_GATES:
+            patch.setattr(importlib.import_module(module_name), name, sys.maxsize)
+        yield

@@ -18,9 +18,8 @@ from repro.experiments.scale import (
     scale_sweep_scale_by_name,
     scaled_config,
 )
-from repro.perf.kernels import vectorized_disabled
 from repro.perf.shm import shared_plane_disabled
-from repro.perf.soa import soa_disabled
+from tests.conftest import scalar_gates
 
 #: Small enough for tier-1 wall clock, large enough to shard across workers.
 _TINY = ScaleSweepScale(
@@ -114,21 +113,10 @@ class TestScaleSweep:
         assert rebuilt.digest() == sweep.digest()
 
     def test_vectorized_off_bit_identical(self, sweep):
-        with vectorized_disabled():
+        """Every kernel call site on its scalar loop: same digest."""
+        with scalar_gates():
             scalar = run_scale_sweep(PaperConfig(), _TINY, include_grd=False)
         assert scalar.digest() == sweep.digest()
-
-    def test_soa_off_bit_identical(self, sweep):
-        """Object-graph network + binary-heap scheduler: same digest."""
-        with soa_disabled():
-            legacy = run_scale_sweep(PaperConfig(), _TINY, include_grd=False)
-        assert legacy.digest() == sweep.digest()
-
-    def test_soa_and_vectorized_off_bit_identical(self, sweep):
-        """Fully scalar object-graph path — the seed implementation."""
-        with soa_disabled(), vectorized_disabled():
-            legacy = run_scale_sweep(PaperConfig(), _TINY, include_grd=False)
-        assert legacy.digest() == sweep.digest()
 
     def test_digest_sensitive_to_results(self, sweep):
         other_scale = dataclasses.replace(_TINY, tasks_per_cell=1)

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.geometry import Point, distance
+from repro.geometry import Point, distance, distance_sq
 from repro.geometry.fermat import fermat_point
 from repro.perf.counters import GLOBAL_COUNTERS
 from repro.perf.kernels import (
@@ -29,11 +29,9 @@ from repro.perf.kernels import (
     pairwise_distances,
     reduction_ratio_batch,
     rng_keep_mask,
-    set_vectorized_enabled,
-    vectorized_disabled,
-    vectorized_enabled,
 )
 from repro.steiner.reduction_ratio import reduction_ratio_point
+from tests.conftest import scalar_gates
 
 
 def _random_point(rng: random.Random, lo: float = -500.0, hi: float = 1500.0) -> Point:
@@ -149,15 +147,14 @@ def test_disk_mask_bit_identical() -> None:
 def test_unit_disk_rows_bit_identical_to_grid_build() -> None:
     """unit_disk_rows == the per-node SpatialGrid build, row for row.
 
-    The scalar reference is ``WirelessNetwork._build_neighbor_lists`` — the
-    construction path a ``soa_disabled()`` network takes — over seeded
-    deployments including negative coordinates, cell-boundary points,
-    exact-radius pairs and coincident nodes.
+    The scalar reference is ``WirelessNetwork._build_neighbor_lists`` (one
+    grid range query per node), over seeded deployments including negative
+    coordinates, cell-boundary points, exact-radius pairs and coincident
+    nodes.
     """
     from repro.network.graph import WirelessNetwork
     from repro.network.radio import RadioConfig
     from repro.perf.kernels import unit_disk_rows
-    from repro.perf.soa import soa_disabled
 
     rng = random.Random(20260808)
     radio = RadioConfig()  # 150 m range
@@ -174,12 +171,11 @@ def test_unit_disk_rows_bit_identical_to_grid_build() -> None:
         xs = np.array([p.x for p in pts], dtype=float)
         ys = np.array([p.y for p in pts], dtype=float)
         indptr, indices = unit_disk_rows(xs, ys, radio.radio_range_m)
-        with soa_disabled():
-            reference = WirelessNetwork(pts, radio)
+        reference = WirelessNetwork(pts, radio)._build_neighbor_lists()
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i in range(len(pts)):
             row = tuple(indices[indptr[i] : indptr[i + 1]].tolist())
-            assert row == reference.neighbors_of(i), (trial, i)
+            assert row == reference[i], (trial, i)
         checked += len(pts)
     assert checked >= 1000
 
@@ -220,9 +216,8 @@ def test_planarization_masks_match_scalar_witness_loops() -> None:
             return locations[i]
 
         for planarize in (gabriel_neighbors, rng_neighbors):
-            assert vectorized_enabled()
             vec = planarize(0, ids, location_of)
-            with vectorized_disabled():
+            with scalar_gates():
                 scalar = planarize(0, ids, location_of)
             assert vec == scalar
         edges += len(ids)
@@ -280,8 +275,8 @@ def test_pairwise_distances_bit_identical() -> None:
 
 
 def test_next_hop_kernels_match_inline_fallbacks() -> None:
-    """distances_sq_to / nearest_index / group_distance_sums == the einsum
-    fallbacks inlined at their call sites in repro.routing.greedy."""
+    """distances_sq_to / nearest_index / group_distance_sums == independent
+    einsum transcriptions, and nearest_index == a scalar distance_sq scan."""
     rng = random.Random(77)
     checked = 0
     while checked < 1000:
@@ -295,6 +290,9 @@ def test_next_hop_kernels_match_inline_fallbacks() -> None:
         got_sq = distances_sq_to(locations, target)
         assert (got_sq == expected_sq).all()
         assert nearest_index(locations, target) == int(np.argmin(expected_sq))
+        scalar_sq = [distance_sq(Point(x, y), target) for x, y in locations.tolist()]
+        assert got_sq.tolist() == scalar_sq
+        assert nearest_index(locations, target) == scalar_sq.index(min(scalar_sq))
 
         group = [_random_point(rng, 0.0, 1000.0) for _ in range(rng.randint(1, 12))]
         targets = np.asarray([[p[0], p[1]] for p in group])
@@ -306,7 +304,8 @@ def test_next_hop_kernels_match_inline_fallbacks() -> None:
 
 
 def test_rrstr_trees_identical_vectorized_on_off() -> None:
-    """End-to-end A/B: full rrSTR trees are byte-identical either way."""
+    """End-to-end A/B: full rrSTR trees are byte-identical with the kernels
+    and with every size gate forced to its scalar loop."""
     from repro.perf.cache import clear_caches
     from repro.steiner.rrstr import RRStrConfig, rrstr
 
@@ -326,25 +325,9 @@ def test_rrstr_trees_identical_vectorized_on_off() -> None:
         clear_caches()
         vec_tree = rrstr(s, dests, 150.0, config)
         clear_caches()
-        with vectorized_disabled():
+        with scalar_gates():
             scalar_tree = rrstr(s, dests, 150.0, config)
         assert signature(vec_tree) == signature(scalar_tree), trial
-
-
-def test_toggle_and_context_manager() -> None:
-    assert vectorized_enabled()
-    set_vectorized_enabled(False)
-    try:
-        assert not vectorized_enabled()
-        with vectorized_disabled():
-            assert not vectorized_enabled()
-        assert not vectorized_enabled()  # restored to the outer (off) state
-    finally:
-        set_vectorized_enabled(True)
-    assert vectorized_enabled()
-    with vectorized_disabled():
-        assert not vectorized_enabled()
-    assert vectorized_enabled()
 
 
 def test_kernels_record_batch_counters() -> None:
@@ -363,9 +346,3 @@ def test_empty_batches() -> None:
     rr, t = reduction_ratio_batch(Point(0.0, 0.0), np.empty((0, 2)), np.empty((0, 2)))
     assert rr.shape == (0,) and t.shape == (0, 2)
     assert group_distance_sums(np.empty((0, 2)), [Point(1.0, 1.0)]).shape == (0,)
-
-
-@pytest.fixture(autouse=True)
-def _ensure_vectorized_restored():
-    yield
-    set_vectorized_enabled(True)

@@ -13,9 +13,6 @@ import inspect
 
 from repro.perf import kernels
 
-EXEMPT = {"set_vectorized_enabled", "vectorized_enabled", "vectorized_disabled"}
-
-
 def _public_kernels():
     return {
         name
@@ -23,7 +20,6 @@ def _public_kernels():
         if inspect.isfunction(obj)
         and obj.__module__ == kernels.__name__
         and not name.startswith("_")
-        and name not in EXEMPT
     }
 
 

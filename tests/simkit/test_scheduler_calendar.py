@@ -1,185 +1,83 @@
-"""Ordering equivalence of the calendar-queue and binary-heap schedulers.
+"""Ordering properties of the binary-heap event scheduler.
 
-The calendar queue is a pure performance structure: over any workload it
-must pop events in *exactly* the ``(time, sequence)`` order of the
-binary-heap reference.  The property tests drive both backends with
-identical seeded schedule/cancel/pop streams — including the regimes that
-stress the calendar's window logic (dense microsecond bursts, sparse
-horizons, heavy cancellation, resize churn) — and compare the full popped
-transcripts.
+Events must pop in exact ``(time, sequence)`` order whatever the mix of
+schedules, cancellations and peeks, and a cleared scheduler must replay a
+workload exactly like a fresh one.
 """
 
 import random
 
-import pytest
-
-from repro.perf.soa import soa_disabled, soa_enabled
-from repro.simkit.scheduler import CalendarScheduler, EventScheduler
+from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator
 
 
-def _small_calendar(on: int = 64, off: int = 16) -> CalendarScheduler:
-    """A CalendarScheduler with tiny migration thresholds.
-
-    At the production ``_CALENDAR_ON`` of 4096 live events these workloads
-    would never leave heap mode; shrinking the bounds (instance attributes
-    shadow the class constants) makes every test cross the heap -> calendar
-    and calendar -> heap migrations, the regime the bound guards.
-    """
-    scheduler = CalendarScheduler()
-    scheduler._CALENDAR_ON = on
-    scheduler._CALENDAR_OFF = off
-    return scheduler
-
-
-def _drive(scheduler, seed: int, operations: int, profile: str):
-    """One seeded workload transcript: [(time, sequence, label), ...]."""
-    rng = random.Random(seed)
-    now = 0.0
-    live = {}
-    popped = []
-    scheduled = 0
-    while scheduled < operations or live:
-        roll = rng.random()
-        if scheduled < operations and (roll < 0.55 or not live):
-            if profile == "dense":
-                delay = rng.expovariate(1.0 / 0.001)
-            elif profile == "sparse":
-                delay = rng.uniform(0.0, 10_000.0)
-            else:  # mixed: MAC bursts plus occasional far timers
-                delay = (
-                    rng.expovariate(1.0 / 0.001)
-                    if rng.random() < 0.9
-                    else rng.uniform(1.0, 100.0)
-                )
-            event = scheduler.schedule(now + delay, lambda: None, f"e{scheduled}")
-            live[event.sequence] = event
-            scheduled += 1
-        elif roll < 0.70 and live:
-            # Cancel the event whose sequence hashes lowest — a seeded but
-            # arbitrary victim that both backends agree on.
-            victim = min(live, key=lambda s: (s * 2654435761) % 1_000_003)
-            scheduler.cancel(live.pop(victim))
-        else:
-            event = scheduler.pop_next()
-            if event is None:
-                continue
-            now = event.time
-            live.pop(event.sequence, None)
-            popped.append((event.time, event.sequence, event.label))
-    assert scheduler.pop_next() is None
-    return popped
-
-
-@pytest.mark.parametrize("profile", ["dense", "sparse", "mixed"])
-@pytest.mark.parametrize("seed", [1, 42, 20260808])
-def test_calendar_pops_in_exact_heap_order(profile, seed):
-    reference = _drive(EventScheduler(), seed, 3000, profile)
-    calendar = _drive(CalendarScheduler(), seed, 3000, profile)
-    assert calendar == reference
-    # Tiny migration bounds: the same workload now churns through the
-    # heap <-> calendar migrations dozens of times — still exact order.
-    migrating = _drive(_small_calendar(), seed, 3000, profile)
-    assert migrating == reference
-
-
 def test_identical_times_pop_in_insertion_order():
-    for scheduler in (EventScheduler(), CalendarScheduler(), _small_calendar(1, 0)):
-        events = [scheduler.schedule(5.0, lambda: None, f"e{i}") for i in range(50)]
-        scheduler.cancel(events[7])
-        order = []
-        while True:
-            event = scheduler.pop_next()
-            if event is None:
-                break
-            order.append(event.sequence)
-        assert order == [i for i in range(50) if i != 7]
-
-
-def test_schedule_earlier_than_current_window_is_not_skipped():
-    """Popping far ahead then scheduling near must rewind the window scan.
-
-    The forced-calendar instance (``on=1``) is the one that actually
-    exercises the rewind: at production thresholds two events stay in
-    heap mode, where skipping is impossible by construction.
-    """
-    for scheduler in (EventScheduler(), CalendarScheduler(), _small_calendar(1, 0)):
-        scheduler.schedule(1000.0, lambda: None, "far")
-        assert scheduler.peek_time() == 1000.0  # scan has advanced far ahead
-        near = scheduler.schedule(1.0, lambda: None, "near")
-        assert scheduler.peek_time() == 1.0
-        assert scheduler.pop_next() is near
-
-
-def test_resize_churn_preserves_order():
-    """Grow through several doublings, then drain through the halvings."""
-    for factory in (EventScheduler, CalendarScheduler):
-        scheduler = factory()
-        rng = random.Random(99)
-        times = [rng.uniform(0.0, 50.0) for _ in range(5000)]
-        for t in times:
-            scheduler.schedule(t, lambda: None)
-        popped = []
-        while True:
-            event = scheduler.pop_next()
-            if event is None:
-                break
-            popped.append((event.time, event.sequence))
-        assert popped == sorted(popped)
-        assert len(popped) == 5000
-
-
-def test_len_counts_only_live_events():
-    for scheduler in (EventScheduler(), CalendarScheduler()):
-        kept = scheduler.schedule(2.0, lambda: None)
-        dropped = scheduler.schedule(1.0, lambda: None)
-        assert len(scheduler) == 2
-        scheduler.cancel(dropped)
-        scheduler.cancel(dropped)  # double-cancel is a no-op
-        assert len(scheduler) == 1
-        assert scheduler.pop_next() is kept
-        assert len(scheduler) == 0
-        assert scheduler.peek_time() is None
-
-
-def test_all_cancelled_leaves_empty_scheduler():
-    for scheduler in (EventScheduler(), CalendarScheduler(), _small_calendar(1, 0)):
-        events = [scheduler.schedule(float(i), lambda: None) for i in range(64)]
-        for event in events:
-            scheduler.cancel(event)
-        assert len(scheduler) == 0
-        assert scheduler.peek_time() is None
-        assert scheduler.pop_next() is None
-
-
-def test_migration_hysteresis():
-    """Heap below _CALENDAR_ON, calendar above, back to heap below _CALENDAR_OFF."""
-    scheduler = _small_calendar(on=64, off=16)
-    events = [scheduler.schedule(float(i), lambda: None) for i in range(64)]
-    assert not scheduler._calendar  # at the bound, not yet past it
-    events.append(scheduler.schedule(64.0, lambda: None))
-    assert scheduler._calendar  # 65 live > on=64
-    popped = 0
-    while scheduler._calendar:
-        assert scheduler.pop_next() is not None
-        popped += 1
-    # The migration fires on the pop that drops the live count below off.
-    assert len(scheduler) == scheduler._CALENDAR_OFF - 1
-    remaining = []
+    scheduler = EventScheduler()
+    events = [scheduler.schedule(5.0, lambda: None, f"e{i}") for i in range(50)]
+    scheduler.cancel(events[7])
+    order = []
     while True:
         event = scheduler.pop_next()
         if event is None:
             break
-        remaining.append(event.sequence)
-    # Migration through both representations never reordered anything.
-    assert remaining == [e.sequence for e in events[popped:]]
+        order.append(event.sequence)
+    assert order == [i for i in range(50) if i != 7]
+
+
+def test_schedule_earlier_than_current_window_is_not_skipped():
+    """Peeking a far event, then scheduling a near one, pops the near one."""
+    scheduler = EventScheduler()
+    scheduler.schedule(1000.0, lambda: None, "far")
+    assert scheduler.peek_time() == 1000.0
+    near = scheduler.schedule(1.0, lambda: None, "near")
+    assert scheduler.peek_time() == 1.0
+    assert scheduler.pop_next() is near
+
+
+def test_resize_churn_preserves_order():
+    """Thousands of random times drain in sorted ``(time, sequence)`` order."""
+    scheduler = EventScheduler()
+    rng = random.Random(99)
+    times = [rng.uniform(0.0, 50.0) for _ in range(5000)]
+    for t in times:
+        scheduler.schedule(t, lambda: None)
+    popped = []
+    while True:
+        event = scheduler.pop_next()
+        if event is None:
+            break
+        popped.append((event.time, event.sequence))
+    assert popped == sorted(popped)
+    assert len(popped) == 5000
+
+
+def test_len_counts_only_live_events():
+    scheduler = EventScheduler()
+    kept = scheduler.schedule(2.0, lambda: None)
+    dropped = scheduler.schedule(1.0, lambda: None)
+    assert len(scheduler) == 2
+    scheduler.cancel(dropped)
+    scheduler.cancel(dropped)  # double-cancel is a no-op
+    assert len(scheduler) == 1
+    assert scheduler.pop_next() is kept
+    assert len(scheduler) == 0
+    assert scheduler.peek_time() is None
+
+
+def test_all_cancelled_leaves_empty_scheduler():
+    scheduler = EventScheduler()
+    events = [scheduler.schedule(float(i), lambda: None) for i in range(64)]
+    for event in events:
+        scheduler.cancel(event)
+    assert len(scheduler) == 0
+    assert scheduler.peek_time() is None
+    assert scheduler.pop_next() is None
 
 
 class TestClearResetsSequence:
     """clear() regression: a cleared scheduler replays like a fresh one."""
 
-    @pytest.mark.parametrize("factory", [EventScheduler, CalendarScheduler])
-    def test_clear_restarts_sequence_numbering(self, factory):
+    def test_clear_restarts_sequence_numbering(self):
         def transcript(scheduler):
             for i in range(20):
                 scheduler.schedule(float(i % 4), lambda: None, f"e{i}")
@@ -190,13 +88,13 @@ class TestClearResetsSequence:
                     return out
                 out.append((event.time, event.sequence, event.label))
 
-        scheduler = factory()
+        scheduler = EventScheduler()
         first = transcript(scheduler)
         scheduler.schedule(9.0, lambda: None, "stale")
         scheduler.clear()
         assert len(scheduler) == 0
         replay = transcript(scheduler)
-        assert replay == first == transcript(factory())
+        assert replay == first == transcript(EventScheduler())
 
     def test_simulator_reset_replays_identical_event_order(self):
         """Through the executive: reset() + same workload == same order."""
@@ -212,11 +110,3 @@ class TestClearResetsSequence:
         first = run(simulator)
         simulator.reset()
         assert run(simulator) == first == list(range(10))
-
-
-def test_simulator_backend_follows_soa_switch():
-    assert soa_enabled()
-    assert isinstance(Simulator()._scheduler, CalendarScheduler)
-    with soa_disabled():
-        assert isinstance(Simulator()._scheduler, EventScheduler)
-    assert isinstance(Simulator()._scheduler, CalendarScheduler)
