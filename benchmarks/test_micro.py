@@ -6,6 +6,7 @@ sensor nodes where PBM's exponential subset enumeration is not.
 """
 
 import pathlib
+from typing import Any
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ def _random_instance(k, seed=5):
     source = Point(*rng.uniform(0, 1000, 2))
     dests = [(i, Point(*rng.uniform(0, 1000, 2))) for i in range(k)]
     return source, dests
+
+
+def _publish_throughput(benchmark: Any, work_per_round: float) -> None:
+    """Declare a throughput-direction bench: ``work_per_round`` per median s.
+
+    ``scripts/bench_compare.py`` gates such benches on downward drift of
+    ``extra_info["value"]``.  Under ``--benchmark-disable`` nothing is timed
+    (``benchmark.stats`` is None), so there is no value to publish.
+    """
+    benchmark.extra_info["direction"] = "maximize"
+    if benchmark.stats is not None:
+        benchmark.extra_info["value"] = work_per_round / benchmark.stats.stats.median
 
 
 def test_bench_fermat_point(benchmark):
@@ -185,10 +198,7 @@ def test_bench_task_execution_gmp_jammed(benchmark, micro_network):
         return frames["stepped"]
 
     benchmark.pedantic(jammed_task, rounds=3, iterations=1)
-    benchmark.extra_info["direction"] = "maximize"
-    benchmark.extra_info["value"] = (
-        frames["stepped"] / benchmark.stats.stats.median
-    )
+    _publish_throughput(benchmark, frames["stepped"])
 
 
 def test_bench_fuzz_executor_throughput(benchmark):
@@ -223,8 +233,7 @@ def test_bench_fuzz_executor_throughput(benchmark):
         return digests
 
     benchmark.pedantic(sweep, rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["direction"] = "maximize"
-    benchmark.extra_info["value"] = len(specs) / benchmark.stats.stats.median
+    _publish_throughput(benchmark, len(specs))
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +444,7 @@ def test_bench_session_stream_throughput(benchmark):
         return report.chain_digest
 
     benchmark.pedantic(stream, rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["direction"] = "maximize"
-    benchmark.extra_info["value"] = total / benchmark.stats.stats.median
+    _publish_throughput(benchmark, total)
 
 
 def test_bench_session_sketch_fold(benchmark):

@@ -26,7 +26,6 @@ from repro.linklayer.mac import CopyOutcome, LinkLayer
 from repro.network.energy import EnergyMeter, EnergyModel
 from repro.network.graph import WirelessNetwork
 from repro.packets import Destination, MulticastPacket
-from repro.perf.counters import GLOBAL_COUNTERS
 from repro.routing.base import ForwardDecision, NodeView, RoutingProtocol
 from repro.simkit import SimulationError, Simulator
 from repro.simkit.rng import RandomStreams, derive_seed
@@ -39,20 +38,20 @@ class EngineConfig:
     Attributes:
         max_path_length: Hop-count TTL; packets are not forwarded beyond
             this many hops (the paper's Figure-15 experiment uses 100).
-        processing_delay_s: Per-hop processing latency added to the airtime.
-        max_events_per_task: Hard safety valve against pathological loops.
-        validate_decisions: Check that protocols only forward to actual
-            neighbors and never duplicate a destination across copies.
-        transmission_model: How one forwarding step's copies map to radio
-            transmissions — ``"protocol"`` (default) honours each
-            protocol's :attr:`RoutingProtocol.aggregates_copies`
-            declaration; ``"broadcast"`` forces single-frame aggregation
-            for everyone; ``"unicast"`` forces one transmission per copy
-            (the counting-model ablation); ``"contended"`` routes every
-            frame through the CSMA/ARQ link layer of
+        transmission_model: The medium and how one forwarding step's
+            copies map to radio transmissions.  ``"protocol"`` (default)
+            is the ideal medium — every copy arrives one airtime later —
+            honouring each protocol's
+            :attr:`RoutingProtocol.aggregates_copies` declaration;
+            ``"unicast"`` forces one transmission per copy on either
+            medium (the counting-model ablation); ``"contended"`` routes
+            every frame through the CSMA/ARQ link layer of
             :mod:`repro.linklayer` — frames queue per node, contend for
             the shared channel, collide, and are retransmitted, with
-            neighbor knowledge served from HELLO-beacon tables.
+            neighbor knowledge served from HELLO-beacon tables.  Either
+            way the engine checks every forwarding decision: protocols
+            may only forward to actual neighbors and never duplicate a
+            destination across copies.
         link: Link-layer knobs, used only by the ``"contended"`` model.
         link_loss_rate: Probability that a transmitted copy is destroyed in
             flight (failure injection; energy is still charged — the frame
@@ -74,9 +73,6 @@ class EngineConfig:
             per-call ``collect_trace`` argument of :func:`run_task` still
             works for one-off traces).  Used by the parallel-vs-serial
             bit-identity tests, which digest complete frame histories.
-        collect_perf: Attach per-task perf-cache counter deltas (hits and
-            misses moved during the task) as :attr:`TaskResult.perf`.
-            Instrumentation only — excluded from result digests.
         adversary: The misbehaving-node cast (see :mod:`repro.adversary`).
             Empty by default — and with an empty schedule every code path
             below is byte-identical to the adversary-free engine (the A/B
@@ -86,23 +82,18 @@ class EngineConfig:
     """
 
     max_path_length: int = 100
-    processing_delay_s: float = 0.0
-    max_events_per_task: int = 500_000
-    validate_decisions: bool = True
     transmission_model: str = "protocol"
     link_loss_rate: float = 0.0
     loss_seed: int = 0
     failed_node_ids: FrozenSet[int] = field(default_factory=frozenset)
     charge_header_overhead: bool = False
     collect_traces: bool = False
-    collect_perf: bool = False
     link: LinkLayerConfig = DEFAULT_LINK_CONFIG
     adversary: AdversarySchedule = EMPTY_ADVERSARY_SCHEDULE
 
     def __post_init__(self) -> None:
         if self.transmission_model not in (
             "protocol",
-            "broadcast",
             "unicast",
             "contended",
         ):
@@ -127,128 +118,183 @@ class EngineConfig:
 DEFAULT_ENGINE_CONFIG = EngineConfig()
 
 
-class _TaskExecution:
-    """Mutable state of one in-flight task (one source, many branches)."""
+#: Event budget per session: a hard safety valve against routing loops.
+MAX_EVENTS_PER_TASK = 500_000
+
+
+def _record_frame(
+    trace: TaskTrace,
+    time_s: float,
+    sender_id: int,
+    outcomes: Sequence[CopyOutcome],
+    transmissions: int,
+    kind: str = DATA,
+    retry: int = 0,
+) -> None:
+    """Append one frame and the fate of every copy it carried to ``trace``."""
+    copies = tuple(
+        CopyRecord(
+            receiver_id=receiver_id,
+            destination_ids=packet.destination_ids,
+            hop_count=packet.hop_count,
+            in_perimeter_mode=packet.in_perimeter_mode,
+            lost=lost,
+        )
+        for receiver_id, packet, lost in outcomes
+    )
+    trace.record(
+        FrameRecord(
+            time_s=time_s,
+            sender_id=sender_id,
+            copies=copies,
+            transmissions_charged=transmissions,
+            kind=kind,
+            retry=retry,
+        )
+    )
+
+
+@dataclass
+class _Session:
+    """Mutable state of one multicast session (one source, many branches)."""
+
+    task_id: int
+    source_id: int
+    destination_ids: Tuple[int, ...]
+    protocol: RoutingProtocol
+    meter: EnergyMeter
+    trace: Optional[TaskTrace]
+    loss_rng: np.random.Generator
+    start_s: float
+    delivered_hops: Dict[int, int] = field(default_factory=dict)
+    dropped_ttl: int = 0
+    last_activity_s: float = 0.0
+    started: bool = False
+
+    def __post_init__(self) -> None:
+        self.last_activity_s = self.start_s
+
+
+class _Run:
+    """One simulator clock driving one or more multicast sessions.
+
+    This is the routing core both media share: it owns session start,
+    arrival processing (adversary drop, delivery bookkeeping,
+    ``protocol.handle``) and the forwarding step (decision validation, TTL
+    drop, copy aggregation, header sizing).  A medium subclass supplies
+    only how a node sees its neighbors (:meth:`view`), how a forwarding
+    step's copies reach the air (:meth:`send`), its event budget and
+    horizon (:meth:`open`) and its per-session instrumentation
+    (:meth:`perf`).  Media deliver arriving copies through :meth:`arrive`.
+    """
+
+    adversary: Optional[AdversaryState] = None
 
     def __init__(
         self,
         network: WirelessNetwork,
-        protocol: RoutingProtocol,
+        tasks: Sequence[Tuple[int, int, Sequence[int]]],
+        protocol_factory: Callable[[], RoutingProtocol],
         config: EngineConfig,
-        task_id: int,
-        trace: Optional[TaskTrace] = None,
+        start_times: Optional[Sequence[float]],
+        payload_bytes: Optional[int],
+        collect_trace: bool,
     ) -> None:
+        if start_times is None:
+            start_times = [0.0] * len(tasks)
+        if len(start_times) != len(tasks):
+            raise ValueError(
+                f"{len(tasks)} tasks but {len(start_times)} start times"
+            )
         self.network = network
-        self.protocol = protocol
         self.config = config
+        self.payload_bytes = payload_bytes
         self.simulator = Simulator()
-        self.energy = EnergyMeter(EnergyModel(network.radio))
-        self.delivered_hops: Dict[int, int] = {}
-        self.dropped_ttl = 0
-        self.trace = trace
-        # Created unconditionally so that turning loss on/off cannot shift
-        # any *other* stream's draws, and a zero-rate config still owns a
-        # well-defined loss process (it just never consumes from it).
-        self._loss_rng = np.random.default_rng(
-            derive_seed(config.loss_seed, "loss", task_id)
-        )
-        # None when the schedule is empty: the benign path below must stay
-        # byte-identical to the pre-adversary engine (A/B switch contract).
-        if config.adversary.enabled:
-            if config.adversary.has_jammers:
-                raise ValueError(
-                    "jammers require the contended transmission model"
-                )
-            self.adversary: Optional[AdversaryState] = AdversaryState(
-                config.adversary, network, ("task", task_id)
+        self.want_trace = collect_trace or config.collect_traces
+        #: Sessions by task id, in submission order.
+        self.sessions: Dict[int, _Session] = {}
+        for (task_id, source_id, destination_ids), start_s in zip(tasks, start_times):
+            if task_id in self.sessions:
+                raise ValueError(f"duplicate task id {task_id} in one run")
+            if not (0 <= source_id < network.node_count):
+                raise ValueError(f"source {source_id} is not a node of the network")
+            if source_id in config.failed_node_ids:
+                raise ValueError(f"source {source_id} is marked as a failed node")
+            unique: Dict[int, None] = {}
+            for d in destination_ids:
+                if d == source_id or d in unique:
+                    continue
+                if not (0 <= d < network.node_count):
+                    raise ValueError(f"destination {d} is not a node of the network")
+                unique[d] = None
+            if start_s < 0.0:
+                raise ValueError(f"session start times must be >= 0, got {start_s}")
+            # The loss stream exists even at zero loss, so turning loss on
+            # or off cannot shift any *other* stream's draws.
+            self.sessions[task_id] = _Session(
+                task_id=task_id,
+                source_id=source_id,
+                destination_ids=tuple(unique),
+                protocol=protocol_factory(),
+                meter=EnergyMeter(EnergyModel(network.radio)),
+                trace=TaskTrace() if self.want_trace else None,
+                loss_rng=np.random.default_rng(
+                    derive_seed(config.loss_seed, "loss", task_id)
+                ),
+                start_s=start_s,
             )
-        else:
-            self.adversary = None
+        self.attach()
 
-    def transmit(self, sender_id: int, decisions: Sequence[ForwardDecision]) -> None:
-        """Send the decided copies: charge energy, schedule the arrivals.
+    # ------------------------------------------------------- medium hooks
 
-        Copy aggregation follows the protocol's declaration (see
-        :attr:`RoutingProtocol.aggregates_copies`) unless the engine forces
-        a model: with aggregation, all copies of one forwarding step ride a
-        single broadcast frame (one transmission, one listener charge);
-        without, every copy is its own transmission.
+    def attach(self) -> None:
+        """Set up the medium (and the adversary) once the sessions exist."""
+        raise NotImplementedError
+
+    def view(self, node_id: int) -> NodeView:
+        """The routing view ``node_id`` holds right now."""
+        raise NotImplementedError
+
+    def send(
+        self,
+        session: _Session,
+        sender_id: int,
+        copies: List[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
+    ) -> None:
+        """Put one forwarding step's ``(receiver, packet)`` copies on the air."""
+        raise NotImplementedError
+
+    def open(self, max_events: int) -> Tuple[Optional[float], int]:
+        """Start the medium's own processes; return ``(until, max_events)``.
+
+        By default there are none, and the run lasts until the last copy
+        has arrived.
         """
-        if self.config.validate_decisions:
-            self._validate(sender_id, decisions)
-        live: List[ForwardDecision] = []
-        for decision in decisions:
-            if decision.packet.hop_count + 1 > self.config.max_path_length:
-                self.dropped_ttl += 1
-                continue
-            live.append(decision)
-        if not live:
-            return
-        if self.config.transmission_model == "broadcast":
-            aggregate = True
-        elif self.config.transmission_model == "unicast":
-            aggregate = False
-        else:  # "protocol" — each protocol declares its own frame usage.
-            aggregate = self.protocol.aggregates_copies
-        transmissions = 1 if aggregate else len(live)
-        frame_bytes = None  # Table-1 flat message size.
-        if self.config.charge_header_overhead:
-            payload = live[0].packet.payload_bytes
-            headers = sum(d.packet.header_size_bytes() for d in live)
-            if aggregate:
-                frame_bytes = payload + headers
-            else:
-                # Per-copy frames: charge the mean size per transmission.
-                frame_bytes = payload + max(1, headers // len(live))
-        airtime = self.network.radio.transmission_time(frame_bytes)
-        for _ in range(transmissions):
-            self.energy.record_transmission(
-                sender_id,
-                self.network.listeners_of(sender_id),
-                size_bytes=frame_bytes,
-            )
-        copy_records = []
-        for decision in live:
-            forwarded = decision.packet.hopped()
-            receiver = decision.next_hop_id
-            lost = self._copy_is_lost(receiver)
-            if self.trace is not None:
-                copy_records.append(
-                    CopyRecord(
-                        receiver_id=receiver,
-                        destination_ids=forwarded.destination_ids,
-                        hop_count=forwarded.hop_count,
-                        in_perimeter_mode=forwarded.in_perimeter_mode,
-                        lost=lost,
-                    )
-                )
-            if lost:
-                continue
-            self.simulator.schedule_after(
-                airtime + self.config.processing_delay_s,
-                lambda r=receiver, p=forwarded: self.receive(r, p),
-                label=f"rx@{receiver}",
-            )
-        if self.trace is not None:
-            self.trace.record(
-                FrameRecord(
-                    time_s=self.simulator.now,
-                    sender_id=sender_id,
-                    copies=tuple(copy_records),
-                    transmissions_charged=transmissions,
-                )
-            )
+        return None, max_events
 
-    def _copy_is_lost(self, receiver_id: int) -> bool:
-        """Injected failure check for one in-flight copy."""
-        if receiver_id in self.config.failed_node_ids:
-            return True
-        if self.config.link_loss_rate > 0.0:
-            return bool(self._loss_rng.random() < self.config.link_loss_rate)
-        return False
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        """Digest-excluded instrumentation attached to the session's result."""
+        raise NotImplementedError
 
-    def receive(self, node_id: int, packet: MulticastPacket) -> None:
-        """Arrival processing: record delivery, then let the protocol forward.
+    # ------------------------------------------------------- routing core
+
+    def copy_lost(self, session: _Session) -> bool:
+        """The injected Bernoulli loss coin for one copy in flight."""
+        if self.config.link_loss_rate <= 0.0:
+            return False
+        return bool(session.loss_rng.random() < self.config.link_loss_rate)
+
+    def arrive(self, session: _Session, node_id: int, packet: MulticastPacket) -> None:
+        """A copy reached ``node_id``: stamp the session, then receive it."""
+        session.last_activity_s = self.simulator.now
+        self._receive(session, node_id, packet)
+
+    def _receive(
+        self, session: _Session, node_id: int, packet: MulticastPacket
+    ) -> None:
+        """Record delivery, then let the protocol forward.
 
         A dropper adversary swallows the packet *before* any bookkeeping:
         a malicious group member suppresses even its own delivery.
@@ -258,270 +304,249 @@ class _TaskExecution:
         ):
             return
         if any(d.node_id == node_id for d in packet.destinations):
-            if node_id not in self.delivered_hops:
-                self.delivered_hops[node_id] = packet.hop_count
+            if node_id not in session.delivered_hops:
+                session.delivered_hops[node_id] = packet.hop_count
             packet = packet.without_destination(node_id)
         if not packet.destinations:
             return
-        view: NodeView = NodeView(self.network, node_id)
-        if self.adversary is not None:
-            view = self.adversary.wrap_view(view)
-        decisions = self.protocol.handle(view, packet)
-        self.transmit(node_id, decisions)
+        decisions = session.protocol.handle(self.view(node_id), packet)
+        self._transmit(session, node_id, decisions)
 
-    def _validate(self, sender_id: int, decisions: Sequence[ForwardDecision]) -> None:
+    def _transmit(
+        self,
+        session: _Session,
+        sender_id: int,
+        decisions: Sequence[ForwardDecision],
+    ) -> None:
+        """Validate, TTL-filter, frame and send one forwarding step.
+
+        Copy aggregation follows the protocol's declaration (see
+        :attr:`RoutingProtocol.aggregates_copies`) unless the ``"unicast"``
+        model forces one frame per copy.
+        """
+        self._validate(session, sender_id, decisions)
+        live: List[ForwardDecision] = []
+        for decision in decisions:
+            if decision.packet.hop_count + 1 > self.config.max_path_length:
+                session.dropped_ttl += 1
+                continue
+            live.append(decision)
+        if not live:
+            return
+        aggregate = (
+            self.config.transmission_model != "unicast"
+            and session.protocol.aggregates_copies
+        )
+        frame_bytes = None  # Table-1 flat message size.
+        if self.config.charge_header_overhead:
+            payload = live[0].packet.payload_bytes
+            headers = sum(d.packet.header_size_bytes() for d in live)
+            if aggregate:
+                frame_bytes = payload + headers
+            else:
+                # Per-copy frames: charge the mean size per transmission.
+                frame_bytes = payload + max(1, headers // len(live))
+        copies = [(d.next_hop_id, d.packet.hopped()) for d in live]
+        self.send(session, sender_id, copies, aggregate, frame_bytes)
+        session.last_activity_s = self.simulator.now
+
+    def _validate(
+        self,
+        session: _Session,
+        sender_id: int,
+        decisions: Sequence[ForwardDecision],
+    ) -> None:
+        """Protocols forward only to neighbors and never duplicate a destination."""
         seen: set = set()
         for decision in decisions:
             if not self.network.are_neighbors(sender_id, decision.next_hop_id):
                 raise SimulationError(
-                    f"{self.protocol.name} forwarded from {sender_id} to "
+                    f"{session.protocol.name} forwarded from {sender_id} to "
                     f"non-neighbor {decision.next_hop_id}"
                 )
-            if self.protocol.duplicates_allowed:
+            if session.protocol.duplicates_allowed:
                 continue
             for dest in decision.packet.destinations:
                 if dest.node_id in seen:
                     raise SimulationError(
-                        f"{self.protocol.name} duplicated destination "
+                        f"{session.protocol.name} duplicated destination "
                         f"{dest.node_id} across copies at node {sender_id}"
                     )
                 seen.add(dest.node_id)
 
-
-def run_task(
-    network: WirelessNetwork,
-    protocol: RoutingProtocol,
-    source_id: int,
-    destination_ids: Sequence[int],
-    config: EngineConfig | None = None,
-    task_id: int = 0,
-    payload_bytes: int | None = None,
-    collect_trace: bool = False,
-) -> TaskResult:
-    """Execute one multicast task and return its measured outcome.
-
-    Args:
-        network: The deployed network (global state owned by the engine).
-        protocol: Forwarding discipline under test.
-        source_id: Originating node.
-        destination_ids: Target nodes; the source itself is filtered out.
-        config: Engine knobs (TTL etc.); defaults to :class:`EngineConfig`.
-        task_id: Id recorded in the result.
-        payload_bytes: Message size (defaults to the radio's Table-1 size).
-        collect_trace: Record every frame; the trace is attached to the
-            result as :attr:`TaskResult.trace`.
-
-    Returns:
-        A :class:`TaskResult`; ``result.success`` is False when any
-        destination was unreachable (void without recovery, TTL, injected
-        losses, or a disconnected topology for the centralized SMT
-        baseline).
-    """
-    cfg = config or DEFAULT_ENGINE_CONFIG
-    if cfg.transmission_model == "contended":
-        # One task is one session on the contended channel; the single
-        # protocol instance is safe to reuse as the session "factory".
-        return run_contended_tasks(
-            network,
-            [(task_id, source_id, tuple(destination_ids))],
-            lambda: protocol,
-            config=cfg,
-            payload_bytes=payload_bytes,
-            collect_trace=collect_trace,
-        )[0]
-    perf_before: Optional[Dict[str, float]] = (
-        GLOBAL_COUNTERS.snapshot() if cfg.collect_perf else None
-    )
-    unique_destinations = []
-    seen = set()
-    for d in destination_ids:
-        if d == source_id or d in seen:
-            continue
-        if not (0 <= d < network.node_count):
-            raise ValueError(f"destination {d} is not a node of the network")
-        seen.add(d)
-        unique_destinations.append(d)
-    if not (0 <= source_id < network.node_count):
-        raise ValueError(f"source {source_id} is not a node of the network")
-    if source_id in cfg.failed_node_ids:
-        raise ValueError(f"source {source_id} is marked as a failed node")
-
-    trace = TaskTrace() if (collect_trace or cfg.collect_traces) else None
-    execution = _TaskExecution(network, protocol, cfg, task_id, trace)
-    dest_tuple = tuple(unique_destinations)
-
-    def finish(transmissions: int = 0, energy: float = 0.0, duration: float = 0.0,
-               delivered: Optional[Dict[int, int]] = None) -> TaskResult:
-        per_node: Dict[int, float] = dict(execution.energy.tx_joules_by_node)
-        for node, joules in execution.energy.rx_joules_by_node.items():
-            per_node[node] = per_node.get(node, 0.0) + joules
-        perf = (
-            GLOBAL_COUNTERS.delta_since(perf_before)
-            if perf_before is not None
-            else None
-        )
-        if execution.adversary is not None and execution.adversary.counters:
-            merged: Dict[str, float] = dict(perf) if perf else {}
-            merged.update(execution.adversary.perf_counters())
-            perf = merged
-        return TaskResult(
-            task_id=task_id,
-            protocol=protocol.name,
-            source_id=source_id,
-            destination_ids=dest_tuple,
-            delivered_hops=delivered or {},
-            transmissions=transmissions,
-            energy_joules=energy,
-            duration_s=duration,
-            dropped_ttl=execution.dropped_ttl,
-            trace=trace,
-            hotspot_energy_joules=max(per_node.values(), default=0.0),
-            perf=perf,
-        )
-
-    if not dest_tuple:
-        return finish()
-
-    try:
-        protocol.prepare_task(network, source_id, dest_tuple)
-    except ValueError:
-        # Centralized preparation can fail outright on partitioned networks
-        # (e.g. KMB with unreachable terminals): the whole task fails.
-        return finish()
-
-    packet = MulticastPacket(
-        task_id=task_id,
-        source=Destination(source_id, network.location_of(source_id)),
-        destinations=tuple(
-            Destination(d, network.location_of(d)) for d in dest_tuple
-        ),
-        payload_bytes=payload_bytes or network.radio.message_size_bytes,
-    )
-    execution.simulator.schedule_at(
-        0.0, lambda: execution.receive(source_id, packet), label="task-start"
-    )
-    execution.simulator.run(max_events=cfg.max_events_per_task)
-
-    return finish(
-        transmissions=execution.energy.transmissions,
-        energy=execution.energy.total_joules,
-        duration=execution.simulator.now,
-        delivered=dict(execution.delivered_hops),
-    )
-
-
-class _ContendedSession:
-    """Mutable state of one multicast session on the contended channel."""
-
-    __slots__ = (
-        "task_id",
-        "source_id",
-        "destination_ids",
-        "protocol",
-        "meter",
-        "delivered_hops",
-        "dropped_ttl",
-        "trace",
-        "loss_rng",
-        "start_s",
-        "last_activity_s",
-    )
-
-    def __init__(
-        self,
-        task_id: int,
-        source_id: int,
-        destination_ids: Tuple[int, ...],
-        protocol: RoutingProtocol,
-        meter: EnergyMeter,
-        trace: Optional[TaskTrace],
-        loss_rng: np.random.Generator,
-        start_s: float,
-    ) -> None:
-        self.task_id = task_id
-        self.source_id = source_id
-        self.destination_ids = destination_ids
-        self.protocol = protocol
-        self.meter = meter
-        self.delivered_hops: Dict[int, int] = {}
-        self.dropped_ttl = 0
-        self.trace = trace
-        self.loss_rng = loss_rng
-        self.start_s = start_s
-        self.last_activity_s = start_s
-
-
-class _ContendedRun:
-    """One simulator clock, one channel, many concurrent multicast sessions.
-
-    The routing semantics (validation, TTL, copy aggregation, header
-    accounting) intentionally mirror :class:`_TaskExecution` line for line;
-    only the medium differs — frames go through :class:`LinkLayer` queues
-    instead of arriving exactly one airtime later.
-    """
-
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        tasks: Sequence[Tuple[int, int, Tuple[int, ...]]],
-        protocol_factory: Callable[[], RoutingProtocol],
-        config: EngineConfig,
-        start_times: Sequence[float],
-        payload_bytes: Optional[int],
-        collect_trace: bool,
-    ) -> None:
-        self.network = network
-        self.config = config
-        self.payload_bytes = payload_bytes
-        self.simulator = Simulator()
-        self.order: List[int] = [task_id for task_id, _, _ in tasks]
-        want_trace = collect_trace or config.collect_traces
-        self.sessions: Dict[int, _ContendedSession] = {}
-        for (task_id, source_id, dest_ids), start_s in zip(tasks, start_times):
-            self.sessions[task_id] = _ContendedSession(
-                task_id=task_id,
-                source_id=source_id,
-                destination_ids=dest_ids,
-                protocol=protocol_factory(),
-                meter=EnergyMeter(EnergyModel(network.radio)),
-                trace=TaskTrace() if want_trace else None,
-                loss_rng=np.random.default_rng(
-                    derive_seed(config.loss_seed, "loss", task_id)
-                ),
-                start_s=start_s,
+    def _start(self, session: _Session) -> None:
+        try:
+            session.protocol.prepare_task(
+                self.network, session.source_id, session.destination_ids
             )
+        except ValueError:
+            # Centralized preparation can fail outright on partitioned
+            # networks (e.g. KMB with unreachable terminals): the whole
+            # session fails without sending anything.
+            return
+        session.started = True
+        packet = MulticastPacket(
+            task_id=session.task_id,
+            source=Destination(
+                session.source_id, self.network.location_of(session.source_id)
+            ),
+            destinations=tuple(
+                Destination(d, self.network.location_of(d))
+                for d in session.destination_ids
+            ),
+            payload_bytes=self.payload_bytes
+            or self.network.radio.message_size_bytes,
+        )
+        self._receive(session, session.source_id, packet)
+
+    def run(self) -> List[TaskResult]:
+        for session in self.sessions.values():
+            if session.destination_ids:
+                self.simulator.schedule_at(
+                    session.start_s,
+                    lambda s=session: self._start(s),
+                    label=f"session-start@{session.task_id}",
+                )
+        budget = MAX_EVENTS_PER_TASK * max(1, len(self.sessions))
+        until, max_events = self.open(budget)
+        self.simulator.run(until=until, max_events=max_events)
+        return [self._result_of(session) for session in self.sessions.values()]
+
+    def _result_of(self, session: _Session) -> TaskResult:
+        meter = session.meter
+        # A session that never started reports a float zero; a started one
+        # reports the meter's sum as is (the integer 0 if it sent nothing),
+        # which the pinned result digests spell out.
+        per_node: Dict[int, float] = dict(meter.tx_joules_by_node)
+        for node, joules in meter.rx_joules_by_node.items():
+            per_node[node] = per_node.get(node, 0.0) + joules
+        return TaskResult(
+            task_id=session.task_id,
+            protocol=session.protocol.name,
+            source_id=session.source_id,
+            destination_ids=session.destination_ids,
+            delivered_hops=dict(session.delivered_hops),
+            transmissions=meter.transmissions,
+            energy_joules=meter.total_joules if session.started else 0.0,
+            duration_s=max(session.last_activity_s - session.start_s, 0.0),
+            dropped_ttl=session.dropped_ttl,
+            trace=session.trace,
+            hotspot_energy_joules=max(per_node.values(), default=0.0),
+            perf=self.perf(session),
+        )
+
+
+class _IdealRun(_Run):
+    """The paper's medium: every copy arrives exactly one airtime later.
+
+    Each forwarding step is charged at once (one frame when aggregated,
+    one per copy otherwise), crashed receivers and the loss coin destroy
+    copies in flight, and views are the graph oracle.
+    """
+
+    def attach(self) -> None:
+        # None when the schedule is empty: the benign path must stay
+        # byte-identical to the adversary-free engine (A/B switch contract).
+        schedule = self.config.adversary
+        if schedule.enabled:
+            if schedule.has_jammers:
+                raise ValueError(
+                    "jammers require the contended transmission model"
+                )
+            self.adversary = AdversaryState(
+                schedule, self.network, ("task", next(iter(self.sessions)))
+            )
+
+    def view(self, node_id: int) -> NodeView:
+        view = NodeView(self.network, node_id)
+        if self.adversary is not None:
+            view = self.adversary.wrap_view(view)
+        return view
+
+    def send(
+        self,
+        session: _Session,
+        sender_id: int,
+        copies: List[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
+    ) -> None:
+        transmissions = 1 if aggregate else len(copies)
+        listeners = self.network.listeners_of(sender_id)
+        for _ in range(transmissions):
+            session.meter.record_transmission(
+                sender_id, listeners, size_bytes=frame_bytes
+            )
+        airtime = self.network.radio.transmission_time(frame_bytes)
+        outcomes: List[CopyOutcome] = []
+        for receiver, packet in copies:
+            # A crashed receiver loses the copy before the coin is drawn,
+            # in the same order as the contended link layer.
+            lost = receiver in self.config.failed_node_ids or self.copy_lost(
+                session
+            )
+            outcomes.append((receiver, packet, lost))
+            if not lost:
+                self.simulator.schedule_after(
+                    airtime,
+                    lambda r=receiver, p=packet: self.arrive(session, r, p),
+                    label=f"rx@{receiver}",
+                )
+        if session.trace is not None:
+            _record_frame(
+                session.trace, self.simulator.now, sender_id, outcomes,
+                transmissions,
+            )
+
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        if self.adversary is not None and self.adversary.counters:
+            return self.adversary.perf_counters()
+        return None
+
+
+class _ContendedRun(_Run):
+    """The CSMA/ARQ medium: frames go through :class:`LinkLayer` queues.
+
+    All sessions share one channel and one beacon process; copies arrive
+    when the link layer delivers them (after contention, collisions and
+    retransmissions), and views come from HELLO-beacon tables.
+    """
+
+    def attach(self) -> None:
+        network, config = self.network, self.config
         #: Energy of traffic owned by no session (HELLO beacons).
         self.infra_meter = EnergyMeter(EnergyModel(network.radio))
         streams = RandomStreams(
-            derive_seed(config.loss_seed, "mac", tuple(self.order))
+            derive_seed(config.loss_seed, "mac", tuple(self.sessions))
         )
         # None when the schedule is empty: the LinkLayer then gets its
         # exact pre-adversary arguments, keeping benign contended runs
         # byte-identical (A/B switch contract).  The counter hook routes
         # behavior tallies into the link stats' ``adv.*`` bucket;
         # ``self.link`` exists before any bump can fire.
-        self.adversary: Optional[AdversaryState] = (
-            AdversaryState(
+        if config.adversary.enabled:
+            self.adversary = AdversaryState(
                 config.adversary,
                 network,
-                ("run", tuple(self.order)),
+                ("run", tuple(self.sessions)),
                 on_count=lambda key, amount: self.link.stats.bump_adv(
                     key, amount
                 ),
             )
-            if config.adversary.enabled
-            else None
-        )
         self.link = LinkLayer(
             network=network,
             simulator=self.simulator,
             config=config.link,
             streams=streams,
             failed_node_ids=config.failed_node_ids,
-            deliver=self._deliver,
+            deliver=lambda session_id, receiver_id, packet: self.arrive(
+                self.sessions[session_id], receiver_id, packet
+            ),
             charge=self._charge,
-            copy_loss=self._copy_loss,
-            on_frame=self._on_frame if want_trace else None,
+            copy_loss=lambda session_id, _receiver_id: self.copy_lost(
+                self.sessions[session_id]
+            ),
+            on_frame=self._on_frame if self.want_trace else None,
             advertised_location=(
                 self.adversary.advertised_location
                 if self.adversary is not None and self.adversary.distorts_views
@@ -555,13 +580,6 @@ class _ContendedRun:
             count_transmission=count_transmission,
         )
 
-    def _copy_loss(self, session_id: int, receiver_id: int) -> bool:
-        del receiver_id  # the Bernoulli coin is per copy, not per receiver
-        if self.config.link_loss_rate <= 0.0:
-            return False
-        session = self.sessions[session_id]
-        return bool(session.loss_rng.random() < self.config.link_loss_rate)
-
     def _on_frame(
         self,
         session_id: Optional[int],
@@ -573,94 +591,28 @@ class _ContendedRun:
     ) -> None:
         if session_id is None or kind != DATA:
             return  # control traffic stays out of session traces
-        session = self.sessions[session_id]
-        if session.trace is None:
-            return
-        records = tuple(
-            CopyRecord(
-                receiver_id=receiver_id,
-                destination_ids=packet.destination_ids,
-                hop_count=packet.hop_count,
-                in_perimeter_mode=packet.in_perimeter_mode,
-                lost=lost,
-            )
-            for receiver_id, packet, lost in outcomes
-        )
-        session.trace.record(
-            FrameRecord(
-                time_s=start_s,
-                sender_id=sender_id,
-                copies=records,
-                transmissions_charged=1,
-                kind=kind,
-                retry=retry,
-            )
-        )
+        trace = self.sessions[session_id].trace
+        if trace is not None:
+            _record_frame(trace, start_s, sender_id, outcomes, 1, kind, retry)
 
-    def _deliver(
-        self, session_id: int, receiver_id: int, packet: MulticastPacket
-    ) -> None:
-        session = self.sessions[session_id]
-        session.last_activity_s = self.simulator.now
-        if self.config.processing_delay_s > 0.0:
-            self.simulator.schedule_after(
-                self.config.processing_delay_s,
-                lambda: self._receive(session, receiver_id, packet),
-                label=f"rx@{receiver_id}",
-            )
-        else:
-            self._receive(session, receiver_id, packet)
+    # ------------------------------------------------------- medium hooks
 
-    # --------------------------------------------------------- routing path
-
-    def _receive(
-        self, session: _ContendedSession, node_id: int, packet: MulticastPacket
-    ) -> None:
-        if self.adversary is not None and self.adversary.should_drop(
-            node_id, packet
-        ):
-            return
-        if any(d.node_id == node_id for d in packet.destinations):
-            if node_id not in session.delivered_hops:
-                session.delivered_hops[node_id] = packet.hop_count
-            packet = packet.without_destination(node_id)
-        if not packet.destinations:
-            return
+    def view(self, node_id: int) -> NodeView:
         view = self.link.view(node_id)
         if self.adversary is not None and self.link.beacon_service is None:
             # Without beacons the view is the graph oracle; apply the same
             # spoof/suppress distortion the beacon process would have fed it.
             view = self.adversary.wrap_view(view)
-        decisions = session.protocol.handle(view, packet)
-        self._transmit(session, node_id, decisions)
+        return view
 
-    def _transmit(
+    def send(
         self,
-        session: _ContendedSession,
+        session: _Session,
         sender_id: int,
-        decisions: Sequence[ForwardDecision],
+        copies: List[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
     ) -> None:
-        if self.config.validate_decisions:
-            self._validate(session, sender_id, decisions)
-        live: List[ForwardDecision] = []
-        for decision in decisions:
-            if decision.packet.hop_count + 1 > self.config.max_path_length:
-                session.dropped_ttl += 1
-                continue
-            live.append(decision)
-        if not live:
-            return
-        # "contended" honours each protocol's framing, like "protocol".
-        aggregate = session.protocol.aggregates_copies
-        frame_bytes = None  # Table-1 flat message size.
-        if self.config.charge_header_overhead:
-            payload = live[0].packet.payload_bytes
-            headers = sum(d.packet.header_size_bytes() for d in live)
-            if aggregate:
-                frame_bytes = payload + headers
-            else:
-                frame_bytes = payload + max(1, headers // len(live))
-        copies = [(d.next_hop_id, d.packet.hopped()) for d in live]
         if aggregate:
             self.link.send_data(session.task_id, sender_id, copies, frame_bytes)
         else:
@@ -668,69 +620,13 @@ class _ContendedRun:
                 self.link.send_data(
                     session.task_id, sender_id, [copy], frame_bytes
                 )
-        session.last_activity_s = self.simulator.now
 
-    def _validate(
-        self,
-        session: _ContendedSession,
-        sender_id: int,
-        decisions: Sequence[ForwardDecision],
-    ) -> None:
-        seen: set = set()
-        for decision in decisions:
-            if not self.network.are_neighbors(sender_id, decision.next_hop_id):
-                raise SimulationError(
-                    f"{session.protocol.name} forwarded from {sender_id} to "
-                    f"non-neighbor {decision.next_hop_id}"
-                )
-            if session.protocol.duplicates_allowed:
-                continue
-            for dest in decision.packet.destinations:
-                if dest.node_id in seen:
-                    raise SimulationError(
-                        f"{session.protocol.name} duplicated destination "
-                        f"{dest.node_id} across copies at node {sender_id}"
-                    )
-                seen.add(dest.node_id)
-
-    # ------------------------------------------------------------ execution
-
-    def _start_session(self, session: _ContendedSession) -> None:
-        try:
-            session.protocol.prepare_task(
-                self.network, session.source_id, session.destination_ids
-            )
-        except ValueError:
-            return  # centralized preparation failed; session never starts
-        packet = MulticastPacket(
-            task_id=session.task_id,
-            source=Destination(
-                session.source_id, self.network.location_of(session.source_id)
-            ),
-            destinations=tuple(
-                Destination(d, self.network.location_of(d))
-                for d in session.destination_ids
-            ),
-            payload_bytes=self.payload_bytes
-            or self.network.radio.message_size_bytes,
-        )
-        self._receive(session, session.source_id, packet)
-
-    def run(self) -> List[TaskResult]:
+    def open(self, max_events: int) -> Tuple[Optional[float], int]:
         horizon = (
             max(session.start_s for session in self.sessions.values())
             + self.config.link.session_timeout_s
         )
-        for task_id in self.order:
-            session = self.sessions[task_id]
-            if session.destination_ids:
-                self.simulator.schedule_at(
-                    session.start_s,
-                    lambda s=session: self._start_session(s),
-                    label=f"session-start@{task_id}",
-                )
         self.link.start_beacons(horizon)
-        max_events = self.config.max_events_per_task * max(1, len(self.order))
         if self.config.link.beacons:
             ticks = int(horizon / self.config.link.beacon_period_s) + 2
             max_events += ticks * self.network.node_count * 8
@@ -741,28 +637,57 @@ class _ContendedRun:
             # Every jam frame is a schedule + finish event; widen the
             # budget so saturation cannot masquerade as a routing loop.
             max_events += jam_frames * 4
-        self.simulator.run(until=horizon, max_events=max_events)
-        return [self._result_of(task_id) for task_id in self.order]
+        return horizon, max_events
 
-    def _result_of(self, task_id: int) -> TaskResult:
-        session = self.sessions[task_id]
-        per_node: Dict[int, float] = dict(session.meter.tx_joules_by_node)
-        for node, joules in session.meter.rx_joules_by_node.items():
-            per_node[node] = per_node.get(node, 0.0) + joules
-        return TaskResult(
-            task_id=task_id,
-            protocol=session.protocol.name,
-            source_id=session.source_id,
-            destination_ids=session.destination_ids,
-            delivered_hops=dict(session.delivered_hops),
-            transmissions=session.meter.transmissions,
-            energy_joules=session.meter.total_joules,
-            duration_s=max(session.last_activity_s - session.start_s, 0.0),
-            dropped_ttl=session.dropped_ttl,
-            trace=session.trace,
-            hotspot_energy_joules=max(per_node.values(), default=0.0),
-            perf=self.link.stats.session_perf(task_id),
-        )
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        return self.link.stats.session_perf(session.task_id)
+
+
+def run_task(
+    network: WirelessNetwork,
+    protocol: RoutingProtocol,
+    source_id: int,
+    destination_ids: Sequence[int],
+    config: EngineConfig | None = None,
+    task_id: int = 0,
+    payload_bytes: int | None = None,
+    collect_trace: bool = False,
+) -> TaskResult:
+    """Execute one multicast task and return its measured outcome.
+
+    The task is a one-session run on the medium ``config`` names: the
+    ideal medium by default, the CSMA/ARQ link layer under
+    ``transmission_model="contended"``.
+
+    Args:
+        network: The deployed network (global state owned by the engine).
+        protocol: Forwarding discipline under test.
+        source_id: Originating node.
+        destination_ids: Target nodes; the source itself is filtered out.
+        config: Engine knobs (TTL etc.); defaults to :class:`EngineConfig`.
+        task_id: Id recorded in the result.
+        payload_bytes: Message size (defaults to the radio's Table-1 size).
+        collect_trace: Record every frame; the trace is attached to the
+            result as :attr:`TaskResult.trace`.
+
+    Returns:
+        A :class:`TaskResult`; ``result.success`` is False when any
+        destination was unreachable (void without recovery, TTL, injected
+        losses, or a disconnected topology for the centralized SMT
+        baseline).
+    """
+    cfg = config or DEFAULT_ENGINE_CONFIG
+    medium = _ContendedRun if cfg.transmission_model == "contended" else _IdealRun
+    run = medium(
+        network,
+        [(task_id, source_id, destination_ids)],
+        lambda: protocol,
+        cfg,
+        None,
+        payload_bytes,
+        collect_trace,
+    )
+    return run.run()[0]
 
 
 def run_contended_tasks(
@@ -788,8 +713,9 @@ def run_contended_tasks(
             (protocols carry per-task state, which concurrent sessions must
             not share).
         config: Engine knobs; :attr:`EngineConfig.link` configures the MAC.
-            ``transmission_model`` is not consulted — calling this function
-            *is* choosing the contended model.
+            Calling this function *is* choosing the contended medium, so
+            ``transmission_model`` only matters as ``"unicast"``, which
+            forces per-copy frames here as on the ideal medium.
         start_times: Session start time (seconds of virtual time) per task,
             defaulting to all-zero (maximum contention).  The run ends
             :attr:`LinkLayerConfig.session_timeout_s` after the last start.
@@ -803,43 +729,13 @@ def run_contended_tasks(
         (``mac.*``) plus the run-global infrastructure counters
         (``link.*``) — instrumentation, excluded from digests.
     """
-    cfg = config or DEFAULT_ENGINE_CONFIG
-    if start_times is None:
-        start_times = [0.0] * len(tasks)
-    if len(start_times) != len(tasks):
-        raise ValueError(
-            f"{len(tasks)} tasks but {len(start_times)} start times"
-        )
-    seen_ids: set = set()
-    normalized: List[Tuple[int, int, Tuple[int, ...]]] = []
-    for task_id, source_id, destination_ids in tasks:
-        if task_id in seen_ids:
-            raise ValueError(f"duplicate task id {task_id} in contended run")
-        seen_ids.add(task_id)
-        if not (0 <= source_id < network.node_count):
-            raise ValueError(f"source {source_id} is not a node of the network")
-        if source_id in cfg.failed_node_ids:
-            raise ValueError(f"source {source_id} is marked as a failed node")
-        unique: List[int] = []
-        dest_seen: set = set()
-        for d in destination_ids:
-            if d == source_id or d in dest_seen:
-                continue
-            if not (0 <= d < network.node_count):
-                raise ValueError(f"destination {d} is not a node of the network")
-            dest_seen.add(d)
-            unique.append(d)
-        normalized.append((task_id, source_id, tuple(unique)))
-    for start in start_times:
-        if start < 0.0:
-            raise ValueError(f"session start times must be >= 0, got {start}")
     run = _ContendedRun(
-        network=network,
-        tasks=normalized,
-        protocol_factory=protocol_factory,
-        config=cfg,
-        start_times=start_times,
-        payload_bytes=payload_bytes,
-        collect_trace=collect_trace,
+        network,
+        tasks,
+        protocol_factory,
+        config or DEFAULT_ENGINE_CONFIG,
+        start_times,
+        payload_bytes,
+        collect_trace,
     )
     return run.run()

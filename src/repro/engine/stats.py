@@ -33,8 +33,9 @@ class TaskResult:
         dropped_ttl: Transmissions suppressed by the hop-count TTL.
         trace: Full on-air history (only when the task was run with
             ``collect_trace=True``).
-        perf: Per-task perf-cache counter movement (only when run under
-            ``EngineConfig(collect_perf=True)``).  Instrumentation, not a
+        perf: Per-task instrumentation: link-layer ``mac.*``/``link.*``
+            counters on the contended medium, adversary ``adv.*`` counters
+            when a behavior fired, otherwise None.  Instrumentation, not a
             simulation outcome: excluded from result digests, and two runs
             may legitimately differ here while being simulation-identical.
     """

@@ -12,7 +12,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.network import RadioConfig, build_network
-from repro.network.topology import grid_topology, uniform_random_topology
+from repro.network.topology import uniform_random_topology
 
 
 def make_line_network(node_count: int, spacing: float, radio_range: float = 150.0):

@@ -1,5 +1,7 @@
 """Tests for the canonical task-result digests."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.engine import EngineConfig, batch_digest, run_task, task_digest
@@ -39,13 +41,12 @@ class TestTaskDigest:
 
     def test_perf_instrumentation_excluded(self):
         network = _network()
-        plain = run_task(network, GMPProtocol(), 0, [40, 90, 150])
         instrumented = run_task(
             network, GMPProtocol(), 0, [40, 90, 150],
-            config=EngineConfig(collect_perf=True),
+            config=EngineConfig(transmission_model="contended"),
         )
+        plain = dataclasses.replace(instrumented, perf=None)
         assert instrumented.perf is not None
-        assert plain.perf is None
         assert task_digest(plain) == task_digest(instrumented)
 
 

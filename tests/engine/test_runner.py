@@ -144,14 +144,6 @@ class TestTransmissionModels:
         result = run_task(net, GMPProtocol(), 0, [1, 2], config=config)
         assert result.transmissions == 2
 
-    def test_forced_broadcast_model(self):
-        net = network_from_points(
-            [Point(0, 0), Point(100, 0), Point(-100, 0)], radio_range=150.0
-        )
-        config = EngineConfig(transmission_model="broadcast")
-        result = run_task(net, GRDProtocol(), 0, [1, 2], config=config)
-        assert result.transmissions == 1
-
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(transmission_model="quantum")

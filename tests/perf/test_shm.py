@@ -13,7 +13,6 @@ import os
 import signal
 
 import multiprocessing
-import numpy as np
 import pytest
 
 from repro.engine.digest import batch_digest
