@@ -400,6 +400,10 @@ class _Run:
         self._receive(session, session.source_id, packet)
 
     def run(self) -> List[TaskResult]:
+        if not self.sessions:
+            # Nothing to start, so no medium to open (its horizon is the
+            # last session start).
+            return []
         for session in self.sessions.values():
             if session.destination_ids:
                 self.simulator.schedule_at(

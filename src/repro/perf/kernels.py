@@ -35,9 +35,13 @@ parallel-Simpson-line fallback and the Weiszfeld fallback inside
 ``fermat_point``) are delegated to the scalar function per-row; they are a
 vanishing fraction of real workloads.
 
-Call sites choose between kernel and scalar loop by batch size alone
-(:data:`MIN_BATCH`); the scalar loops below each gate double as the parity
-oracles.  Each kernel invocation is tallied in
+Call sites choose between kernel and scalar loop by size, and the scalar
+loops behind each gate double as the parity oracles.  rrSTR decides once
+per tree, by group size (``repro.steiner.rrstr.RRSTR_MIN_GROUP``, the
+measured per-tree crossover): smaller groups, which are most of GMP's
+per-hop trees, never touch NumPy, and larger ones use the kernels for
+pair seeding and the refinement's distance matrix.  Planarization gates
+each neighborhood on :data:`MIN_BATCH`.  Each kernel invocation is tallied in
 :data:`~repro.perf.counters.GLOBAL_COUNTERS` under ``vector.<name>`` (batch
 count and total items), surfaced by the CLI ``--perf`` report.
 """

@@ -28,22 +28,27 @@ prose behaviour (exercised by an ablation benchmark).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry import Point, distance, nearly_equal_points
+from repro.geometry.fermat import weiszfeld_point
 from repro.perf.cache import cached_fermat_point
-from repro.perf.kernels import (
-    MIN_BATCH,
-    fermat_point_batch,
-    pair_indices,
-    pairwise_distances,
-    reduction_ratio_batch,
-)
+from repro.perf.kernels import pair_indices, pairwise_distances, reduction_ratio_batch
 from repro.steiner.reduction_ratio import reduction_ratio_point
-from repro.steiner.tree import SteinerTree
+from repro.steiner.tree import SteinerTree, VertexKind
+
+#: Groups of at least this many destinations seed the merge heap and build
+#: each re-parent sub-pass's distance matrix with the NumPy kernels;
+#: smaller groups, nearly all of GMP's per-hop trees, run the scalar loops
+#: throughout.  Trees are identical either way.  This is the measured
+#: per-tree crossover (docs/PERFORMANCE.md).  The other pair evaluations
+#: (re-pairing after a merge, sibling-pair insertion) come in batches too
+#: small to repay a kernel call at any group size, so they stay scalar.
+RRSTR_MIN_GROUP = 16
 
 #: Heap key guaranteed to sort after every true pair's key (-RR <= ~0) so
 #: that self-pairs are consumed only when nothing better remains.
@@ -113,6 +118,8 @@ def rrstr(
         return tree
 
     s = source_location
+    vertices = tree._vertices
+    vectorize = len(destinations) >= RRSTR_MIN_GROUP
     tolerance = cfg.collocation_tolerance
     active = {}
     # Heap entries carry the Steiner point as two plain floats: the
@@ -122,48 +129,18 @@ def rrstr(
     heap: List[Tuple[float, int, int, int, float, float]] = []
     sequence = 0
 
-    def push_pair(
-        u_vid: int,
-        v_vid: int,
-        precomputed: Optional[Tuple[float, Sequence[float]]] = None,
-    ) -> None:
+    def push_pair(u_vid: int, v_vid: int) -> None:
         nonlocal sequence
         if u_vid == v_vid:
-            u_loc = tree.vertex(u_vid).location
+            u_loc = vertices[u_vid].location
             entry = (_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1])
         else:
-            if precomputed is None:
-                rr, steiner = reduction_ratio_point(
-                    s, tree.vertex(u_vid).location, tree.vertex(v_vid).location
-                )
-                sx, sy = steiner[0], steiner[1]
-            else:
-                rr, (sx, sy) = precomputed
-            entry = (-rr, sequence, u_vid, v_vid, sx, sy)
+            rr, steiner = reduction_ratio_point(
+                s, vertices[u_vid].location, vertices[v_vid].location
+            )
+            entry = (-rr, sequence, u_vid, v_vid, steiner[0], steiner[1])
         heapq.heappush(heap, entry)
         sequence += 1
-
-    def batch_pairs_against(
-        u_vid: int, partner_vids: Sequence[int]
-    ) -> Optional[List[Tuple[float, Sequence[float]]]]:
-        """Reduction ratios of ``(u, partner)`` for every partner, in order.
-
-        Returns ``None`` when the batch is too small to beat the kernel
-        dispatch overhead (the caller then takes the scalar path); results
-        are bit-identical either way.  Each element is ``(rr, (tx, ty))``
-        with plain Python floats.
-        """
-        if len(partner_vids) < MIN_BATCH:
-            return None
-        u_loc = tree.vertex(u_vid).location
-        us = np.broadcast_to(
-            np.array([u_loc[0], u_loc[1]], dtype=float), (len(partner_vids), 2)
-        )
-        vs = np.array(
-            [tree.vertex(v).location for v in partner_vids], dtype=float
-        )
-        rr_arr, t_arr = reduction_ratio_batch(s, us, vs)
-        return list(zip(rr_arr.tolist(), t_arr.tolist()))
 
     terminal_vids = []
     for ref, location in destinations:
@@ -171,29 +148,28 @@ def rrstr(
         terminal_vids.append(vid)
         active[vid] = True
 
-    # Seed the merge heap: all k*(k-1)/2 destination pairs in one batched
-    # kernel evaluation (pair_indices matches the nested-loop order below).
+    # Seed the merge heap: all k*(k-1)/2 destination pairs, in one batched
+    # kernel evaluation for groups at or above the gate (pair_indices
+    # matches the nested-loop order below).
     # Entries carry a unique sequence tie-break, so their pop order is their
     # *sorted* order no matter how the heap was built — one heapify over the
     # full seed list replaces k*(k+1)/2 heappush calls without changing any
     # pop.
     k = len(terminal_vids)
     seeded: Optional[List[Tuple[float, Sequence[float]]]] = None
-    if k * (k - 1) // 2 >= MIN_BATCH:
-        locs = np.array([tree.vertex(v).location for v in terminal_vids], dtype=float)
+    if vectorize:
+        locs = np.array([vertices[v].location for v in terminal_vids], dtype=float)
         row, col = pair_indices(k)
         rr_arr, t_arr = reduction_ratio_batch(s, locs[row], locs[col])
         seeded = list(zip(rr_arr.tolist(), t_arr.tolist()))
     pair_pos = 0
     for i, u_vid in enumerate(terminal_vids):
-        u_loc = tree.vertex(u_vid).location
+        u_loc = vertices[u_vid].location
         heap.append((_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1]))
         sequence += 1
         for v_vid in terminal_vids[i + 1 :]:
             if seeded is None:
-                rr, steiner = reduction_ratio_point(
-                    s, u_loc, tree.vertex(v_vid).location
-                )
+                rr, steiner = reduction_ratio_point(s, u_loc, vertices[v_vid].location)
                 sx, sy = steiner[0], steiner[1]
             else:
                 rr, (sx, sy) = seeded[pair_pos]
@@ -220,8 +196,8 @@ def rrstr(
             continue
         steiner = Point(sx, sy)
 
-        u_loc = tree.vertex(u_vid).location
-        v_loc = tree.vertex(v_vid).location
+        u_loc = vertices[u_vid].location
+        v_loc = vertices[v_vid].location
 
         # Collocation degeneracies (Figure 3, first three non-trivial cases).
         # At WSN granularity a Steiner point within a fraction of the radio
@@ -291,9 +267,8 @@ def rrstr(
             for other_vid, is_active in list(active.items())
             if is_active and other_vid != w_vid
         ]
-        batched = batch_pairs_against(w_vid, partners)
-        for index, other_vid in enumerate(partners):
-            push_pair(w_vid, other_vid, None if batched is None else batched[index])
+        for other_vid in partners:
+            push_pair(w_vid, other_vid)
         push_pair(w_vid, w_vid)
 
     if cfg.refine:
@@ -334,6 +309,12 @@ def refine_tree(
     Terminals and the root are never removed, so the result still spans the
     source and every destination.
     """
+    vertices = tree._vertices
+    parent_of = tree._parent
+    children = tree._children
+    vectorize = (
+        sum(1 for v in vertices if v.kind is VertexKind.TERMINAL) >= RRSTR_MIN_GROUP
+    )
     dead: set = set()
     # Star -> optimal-point memo shared across relocate passes: the target
     # is a pure function of the star's locations, so unchanged stars (the
@@ -344,120 +325,26 @@ def refine_tree(
     while improved and passes < max_passes:
         improved = False
         passes += 1
-        for vertex in list(tree.vertices()):
-            vid = vertex.vid
-            if vid == 0 or vid in dead or not vertex.is_virtual:
+        for vid in range(1, len(vertices)):
+            if vid in dead or vertices[vid].kind is not VertexKind.VIRTUAL:
                 continue
-            if tree.parent_of(vid) is None:
+            parent = parent_of[vid]
+            if parent < 0:
                 continue
-            kids = tree.children_of(vid)
-            if len(kids) == 0:
-                tree.detach(vid)
+            kids = children[vid]
+            if not kids:
+                tree._unlink(vid)
                 dead.add(vid)
                 improved = True
             elif len(kids) == 1:
-                parent = tree.parent_of(vid)
                 child = kids[0]
-                tree.detach(child)
-                tree.detach(vid)
-                tree.attach(parent, child)
+                tree._unlink(child)
+                tree._unlink(vid)
+                tree._link(parent, child)
                 dead.add(vid)
                 improved = True
-        # Locations are constant throughout the re-parent sub-pass (only the
-        # relocate sub-pass moves vertices), so all candidate distances for
-        # one vertex can be batched; vid == row index in ``coords``.  Root
-        # path lengths are memoized between structural mutations — identical
-        # floats, computed once instead of per (vertex, candidate) probe.
-        scan_vertices = list(tree.vertices())
-        distance_matrix: Optional[np.ndarray] = None
-        if len(scan_vertices) >= MIN_BATCH:
-            coords = np.array([v.location for v in scan_vertices], dtype=float)
-            distance_matrix = pairwise_distances(coords)
-        path_cache: dict = {}
-
-        def root_path(path_vid: int) -> float:
-            found = path_cache.get(path_vid)
-            if found is None:
-                if distance_matrix is not None:
-                    # Same bottom-up accumulation as _root_path_length, with
-                    # each edge read from the (bit-identical) matrix.
-                    length = 0.0
-                    current = path_vid
-                    while current != 0:
-                        up = tree.parent_of(current)
-                        if up is None:
-                            break
-                        length += float(distance_matrix[up, current])
-                        current = up
-                    found = length
-                else:
-                    found = _root_path_length(tree, path_vid)
-                path_cache[path_vid] = found
-            return found
-
-        for vertex in scan_vertices:
-            vid = vertex.vid
-            if vid == 0 or vid in dead:
-                continue
-            parent = tree.parent_of(vid)
-            if parent is None:
-                continue
-            if distance_matrix is not None:
-                lengths = distance_matrix[:, vid]
-                parent_len = float(lengths[parent])
-                # Only candidates strictly nearer than the current parent can
-                # ever pass the ``length >= best_len - 1e-9`` filter below
-                # (``best_len`` starts at ``parent_len`` and only decreases),
-                # so the Python scan shrinks to the near rows — flatnonzero
-                # preserves the original candidate order.
-                near = np.flatnonzero(lengths < parent_len - 1e-9)
-                if near.size == 0:
-                    continue
-                candidates = [
-                    (scan_vertices[i], length)
-                    for i, length in zip(near.tolist(), lengths[near].tolist())
-                ]
-            else:
-                parent_len = distance(tree.vertex(parent).location, vertex.location)
-                candidates = [
-                    (c, distance(c.location, vertex.location))
-                    for c in tree.vertices()
-                ]
-            # Subtree membership, the radial distance, and the current path
-            # are pure filters — computed lazily, on the first candidate that
-            # survives the (much cheaper) length filter.
-            subtree: Optional[set] = None
-            radial = -1.0
-            current_path = -1.0
-            best_vid = parent
-            best_len = parent_len
-            for candidate, length in candidates:
-                if length >= best_len - 1e-9:
-                    continue
-                if candidate.vid in dead:
-                    continue
-                if subtree is None:
-                    subtree = set(tree.subtree_vids(vid))
-                    radial = distance(tree.root.location, vertex.location)
-                    current_path = root_path(parent) + parent_len
-                if candidate.vid in subtree:
-                    continue
-                # Shallow-light guard: a shorter edge is accepted only if
-                # the vertex's root path stays within ``max_stretch`` of its
-                # straight-line distance (or improves on the current path).
-                candidate_path = root_path(candidate.vid) + length
-                if (
-                    candidate_path > max_stretch * radial + 1e-9
-                    and candidate_path >= current_path - 1e-9
-                ):
-                    continue
-                best_vid = candidate.vid
-                best_len = length
-            if best_vid != parent:
-                tree.detach(vid)
-                tree.attach(best_vid, vid)
-                path_cache.clear()
-                improved = True
+        if _reparent(tree, dead, max_stretch, vectorize):
+            improved = True
         if _insert_virtuals(tree, dead, radio_range):
             improved = True
         if _relocate_virtuals(tree, dead, relocate_memo):
@@ -465,9 +352,150 @@ def refine_tree(
     return _rebuild_without(tree, dead)
 
 
-def _insert_virtuals(
-    tree: SteinerTree, dead: set, radio_range: float | None = None
+def _reparent(
+    tree: SteinerTree, dead: set, max_stretch: float, vectorize: bool
 ) -> bool:
+    """The re-parent sub-pass of :func:`refine_tree`; True if anything moved.
+
+    Vertices are visited in vid order and each probes its candidates in vid
+    order.  A move changes only the moved vertex's parent, so each vertex's
+    candidate list can be drawn up before the scan from the distances at
+    the start of the sub-pass (only the relocate sub-pass moves vertices).
+    Root-path lengths are memoized between structural moves: the same
+    bottom-up sums, computed once instead of per probe.
+    """
+    parent_of = tree._parent
+    n = len(tree._vertices)
+    radial, edge_len, near, near_len = _scan_inputs(tree, vectorize)
+    path_cache: Dict[int, float] = {}
+
+    def root_path(path_vid: int) -> float:
+        found = path_cache.get(path_vid)
+        if found is None:
+            # Bottom-up, as quality.root_path_length sums it.
+            found = 0.0
+            current = path_vid
+            while current != 0:
+                up = parent_of[current]
+                if up < 0:
+                    break
+                found += edge_len[current]
+                current = up
+            path_cache[path_vid] = found
+        return found
+
+    moved = False
+    for vid in range(1, n):
+        candidates = near[vid]
+        if not candidates or vid in dead:
+            continue
+        parent = parent_of[vid]
+        parent_len = edge_len[vid]
+        # The current path is a pure filter, computed on the first
+        # candidate that survives the cheaper ones.
+        primed = False
+        current_path = 0.0
+        best_vid = parent
+        best_len = parent_len
+        for candidate, length in zip(candidates, near_len[vid]):
+            if length >= best_len - 1e-9:
+                continue
+            if candidate in dead:
+                continue
+            if not primed:
+                primed = True
+                current_path = root_path(parent) + parent_len
+            # A candidate in vid's own subtree has vid on its parent chain.
+            up = candidate
+            while up > 0 and up != vid:
+                up = parent_of[up]
+            if up == vid:
+                continue
+            # Shallow-light guard: a shorter edge is accepted only if the
+            # vertex's root path stays within ``max_stretch`` of its
+            # straight-line distance (or improves on the current path).
+            candidate_path = root_path(candidate) + length
+            if (
+                candidate_path > max_stretch * radial[vid] + 1e-9
+                and candidate_path >= current_path - 1e-9
+            ):
+                continue
+            best_vid = candidate
+            best_len = length
+        if best_vid != parent:
+            tree._unlink(vid)
+            tree._link(best_vid, vid)
+            edge_len[vid] = best_len
+            path_cache.clear()
+            moved = True
+    return moved
+
+
+def _scan_inputs(
+    tree: SteinerTree, vectorize: bool
+) -> Tuple[List[float], List[float], List[List[int]], List[List[float]]]:
+    """Distances the re-parent scan reads, as Python floats.
+
+    Returns, per vid: the distance to the root; the length of the edge to
+    its parent; and the vertices strictly nearer than that parent (by more
+    than 1e-9) with their distances, in vid order.  Only candidates in that
+    list can ever pass the scan's ``length >= best_len - 1e-9`` filter,
+    because ``best_len`` starts at the parent edge and only decreases.
+    Unattached vertices get no candidates.  Every value is
+    ``distance(location_i, location_j)`` to the bit, on either path.
+    """
+    locations = [v.location for v in tree._vertices]
+    parents = tree._parent
+    n = len(locations)
+    if vectorize:
+        matrix = pairwise_distances(np.array(locations, dtype=float))
+        parent_idx = np.array(parents)
+        attached = parent_idx >= 0
+        edge_arr = np.zeros(n)
+        edge_arr[attached] = matrix[attached, parent_idx[attached]]
+        nearer = matrix < (edge_arr - 1e-9)[:, None]
+        nearer[~attached] = False
+        rows, cols = np.nonzero(nearer)
+        cut = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        flat_cols = cols.tolist()
+        flat_lens = matrix[rows, cols].tolist()
+        return (
+            matrix[:, 0].tolist(),
+            edge_arr.tolist(),
+            [flat_cols[cut[i] : cut[i + 1]] for i in range(n)],
+            [flat_lens[cut[i] : cut[i + 1]] for i in range(n)],
+        )
+    # The matrix is symmetric to the bit (``dx`` and ``-dx`` square alike),
+    # so one evaluation fills both halves.
+    rows_py = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        xi, yi = locations[i]
+        row = rows_py[i]
+        for j in range(i + 1, n):
+            xj, yj = locations[j]
+            dx = xi - xj
+            dy = yi - yj
+            d = math.sqrt(dx * dx + dy * dy)
+            row[j] = d
+            rows_py[j][i] = d
+    edge_len = [0.0] * n
+    near: List[List[int]] = [[] for _ in range(n)]
+    near_len: List[List[float]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        parent = parents[i]
+        if parent < 0:
+            continue
+        row = rows_py[i]
+        edge = row[parent]
+        edge_len[i] = edge
+        limit = edge - 1e-9
+        hits = [j for j in range(n) if row[j] < limit]
+        near[i] = hits
+        near_len[i] = [row[j] for j in hits]
+    return rows_py[0], edge_len, near, near_len
+
+
+def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) -> bool:
     """Steiner-point insertion: merge sibling pairs under a new Fermat point.
 
     Whenever a vertex ``p`` has two children ``c1, c2`` whose star would be
@@ -479,113 +507,47 @@ def _insert_virtuals(
     reconsiders).  Strictly length-reducing, so the refinement loop still
     terminates.
     """
+    vertices = tree._vertices
+    children = tree._children
+    # Radio-aware benefit test (paper Section 3.3): the new virtual costs
+    # roughly one extra hop, so it must save more than a radio range of
+    # combined branch length.
+    threshold = radio_range if radio_range is not None else 1e-9
     inserted = False
-    for vertex in list(tree.vertices()):
-        pid = vertex.vid
+    for pid in range(len(vertices)):
         if pid in dead:
             continue
         while True:
-            kids = [c for c in tree.children_of(pid) if c not in dead]
+            kids = [c for c in children[pid] if c not in dead]
             if len(kids) < 2:
                 break
-            p_loc = tree.vertex(pid).location
-            # Radio-aware benefit test (paper Section 3.3): the new
-            # virtual costs roughly one extra hop, so it must save
-            # more than a radio range of combined branch length.
-            threshold = radio_range if radio_range is not None else 1e-9
-            best = None
-            pair_count = len(kids) * (len(kids) - 1) // 2
-            if pair_count >= MIN_BATCH:
-                best = _best_insertion_batch(tree, kids, p_loc, threshold)
-            else:
-                for i, c1 in enumerate(kids):
-                    for c2 in kids[i + 1 :]:
-                        l1 = tree.vertex(c1).location
-                        l2 = tree.vertex(c2).location
-                        w_loc = cached_fermat_point(p_loc, l1, l2)
-                        saving = (
-                            distance(p_loc, l1)
-                            + distance(p_loc, l2)
-                            - distance(p_loc, w_loc)
-                            - distance(w_loc, l1)
-                            - distance(w_loc, l2)
-                        )
-                        if saving > threshold and (best is None or saving > best[0]):
-                            best = (saving, c1, c2, w_loc)
+            p_loc = vertices[pid].location
+            best: Optional[Tuple[float, int, int, Point]] = None
+            for i, c1 in enumerate(kids):
+                for c2 in kids[i + 1 :]:
+                    l1 = vertices[c1].location
+                    l2 = vertices[c2].location
+                    w_loc = cached_fermat_point(p_loc, l1, l2)
+                    saving = (
+                        distance(p_loc, l1)
+                        + distance(p_loc, l2)
+                        - distance(p_loc, w_loc)
+                        - distance(w_loc, l1)
+                        - distance(w_loc, l2)
+                    )
+                    if saving > threshold and (best is None or saving > best[0]):
+                        best = (saving, c1, c2, w_loc)
             if best is None:
                 break
             _, c1, c2, w_loc = best
             w_vid = tree.add_virtual(w_loc)
-            tree.detach(c1)
-            tree.detach(c2)
-            tree.attach(pid, w_vid)
-            tree.attach(w_vid, c1)
-            tree.attach(w_vid, c2)
+            tree._unlink(c1)
+            tree._unlink(c2)
+            tree._link(pid, w_vid)
+            tree._link(w_vid, c1)
+            tree._link(w_vid, c2)
             inserted = True
     return inserted
-
-
-def _best_insertion_batch(
-    tree: SteinerTree,
-    kids: Sequence[int],
-    p_loc: Point,
-    threshold: float,
-) -> Optional[Tuple[float, int, int, Point]]:
-    """Batched variant of the sibling-pair scan in :func:`_insert_virtuals`.
-
-    Evaluates every ``(c1, c2)`` sibling pair's Fermat point and star saving
-    in one kernel call; ties select the first pair in nested-loop order, so
-    the winner is bit-identical to the scalar scan.
-    """
-    locs = np.array([tree.vertex(c).location for c in kids], dtype=float)
-    row, col = pair_indices(len(kids))
-    n = len(row)
-    triples = np.empty((n, 6), dtype=float)
-    triples[:, 0] = p_loc[0]
-    triples[:, 1] = p_loc[1]
-    triples[:, 2:4] = locs[row]
-    triples[:, 4:6] = locs[col]
-    w = fermat_point_batch(triples)
-    d_p1 = _pair_dist(triples[:, 0:2], triples[:, 2:4])
-    d_p2 = _pair_dist(triples[:, 0:2], triples[:, 4:6])
-    d_pw = _pair_dist(triples[:, 0:2], w)
-    d_w1 = _pair_dist(w, triples[:, 2:4])
-    d_w2 = _pair_dist(w, triples[:, 4:6])
-    saving = (((d_p1 + d_p2) - d_pw) - d_w1) - d_w2
-    valid = saving > threshold
-    if not bool(valid.any()):
-        return None
-    idx = np.flatnonzero(valid)
-    pos = int(idx[np.argmax(saving[idx])])
-    return (
-        float(saving[pos]),
-        kids[int(row[pos])],
-        kids[int(col[pos])],
-        Point(float(w[pos, 0]), float(w[pos, 1])),
-    )
-
-
-def _pair_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise Euclidean distance, in the same ``sqrt(dx*dx+dy*dy)`` form as
-    :func:`repro.geometry.point.distance` (bit-identical per IEEE-754)."""
-    dx = a[:, 0] - b[:, 0]
-    dy = a[:, 1] - b[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def _root_path_length(tree: SteinerTree, vid: int) -> float:
-    """Euclidean length of the tree path from the root down to ``vid``."""
-    length = 0.0
-    current = vid
-    while current != 0:
-        parent = tree.parent_of(current)
-        if parent is None:
-            break  # Detached vertex: treat its own chain as the whole path.
-        length += distance(
-            tree.vertex(parent).location, tree.vertex(current).location
-        )
-        current = parent
-    return length
 
 
 def _relocate_virtuals(
@@ -600,21 +562,21 @@ def _relocate_virtuals(
     the exact Fermat point (degree 3) or the geometric median (higher
     degree) of that star.  Strictly length-reducing.
     """
-    from repro.geometry.fermat import weiszfeld_point
-
+    vertices = tree._vertices
+    parent_of = tree._parent
+    children = tree._children
     moved = False
-    for vertex in tree.vertices():
-        vid = vertex.vid
-        if vid == 0 or vid in dead or not vertex.is_virtual:
+    for vid in range(1, len(vertices)):
+        vertex = vertices[vid]
+        if vid in dead or vertex.kind is not VertexKind.VIRTUAL:
             continue
-        parent = tree.parent_of(vid)
-        if parent is None:
+        parent = parent_of[vid]
+        if parent < 0:
             continue
-        star = [tree.vertex(parent).location] + [
-            tree.vertex(c).location for c in tree.children_of(vid)
-        ]
-        if len(star) < 3:
+        kids = children[vid]
+        if len(kids) < 2:
             continue  # Degenerate stars are handled by the splice pass.
+        star = [vertices[parent].location] + [vertices[c].location for c in kids]
         star_key = tuple(star)
         target = memo.get(star_key) if memo is not None else None
         if target is None:
@@ -636,20 +598,22 @@ def _rebuild_without(tree: SteinerTree, dead: set) -> SteinerTree:
     """Copy ``tree`` dropping the vertices in ``dead`` (already detached)."""
     if not dead:
         return tree
+    vertices = tree._vertices
+    children = tree._children
     rebuilt = SteinerTree(tree.root.location)
     mapping = {0: 0}
     stack = [0]
     while stack:
         vid = stack.pop()
-        for child in tree.children_of(vid):
+        for child in children[vid]:
             if child in dead:
                 continue
-            child_vertex = tree.vertex(child)
+            child_vertex = vertices[child]
             if child_vertex.is_terminal:
                 new_vid = rebuilt.add_terminal(child_vertex.location, child_vertex.ref)
             else:
                 new_vid = rebuilt.add_virtual(child_vertex.location)
-            rebuilt.attach(mapping[vid], new_vid)
+            rebuilt._link(mapping[vid], new_vid)
             mapping[child] = new_vid
             stack.append(child)
     return rebuilt

@@ -14,7 +14,7 @@ paper:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.geometry import Point, distance
 
@@ -66,14 +66,24 @@ class SteinerTree:
 
     The root (vid 0) is the current/transmitting node.  Edges are directed
     parent -> child; children keep insertion order.
+
+    Parents and children live in flat lists indexed by vid.  The public
+    methods validate their vids; rrSTR's refinement reads the lists directly
+    and moves edges with the unchecked :meth:`_link` / :meth:`_unlink`.
     """
 
     def __init__(self, root_location: Point) -> None:
         self._vertices: List[TreeVertex] = [
             TreeVertex(0, root_location, VertexKind.SOURCE, None)
         ]
-        self._parent: Dict[int, int] = {}
-        self._children: Dict[int, List[int]] = {0: []}
+        #: Parent vid per vid; -1 for the root and unattached vertices.
+        self._parent: List[int] = [-1]
+        #: Children per vid, in insertion order.
+        self._children: List[List[int]] = [[]]
+        #: Per vid, when its current edge was attached: :meth:`edges` lists
+        #: edges in attach order, which fixes :meth:`total_length`'s sum.
+        self._attached_at: List[int] = [0]
+        self._attach_count = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -94,7 +104,9 @@ class SteinerTree:
     def _add_vertex(self, location: Point, kind: VertexKind, ref: Optional[int]) -> int:
         vid = len(self._vertices)
         self._vertices.append(TreeVertex(vid, location, kind, ref))
-        self._children[vid] = []
+        self._parent.append(-1)
+        self._children.append([])
+        self._attached_at.append(0)
         return vid
 
     def attach(self, parent_vid: int, child_vid: int) -> None:
@@ -103,21 +115,32 @@ class SteinerTree:
         self._check_vid(child_vid)
         if child_vid == 0:
             raise ValueError("the root cannot be attached under another vertex")
-        if child_vid in self._parent:
+        if self._parent[child_vid] >= 0:
             raise ValueError(
                 f"vertex {child_vid} already has parent {self._parent[child_vid]}"
             )
         if parent_vid == child_vid:
             raise ValueError("cannot attach a vertex to itself")
-        self._parent[child_vid] = parent_vid
-        self._children[parent_vid].append(child_vid)
+        self._link(parent_vid, child_vid)
 
     def detach(self, child_vid: int) -> int:
         """Remove the edge to ``child_vid``'s parent; returns the old parent."""
         self._check_vid(child_vid)
-        if child_vid not in self._parent:
+        if self._parent[child_vid] < 0:
             raise ValueError(f"vertex {child_vid} has no parent to detach from")
-        parent = self._parent.pop(child_vid)
+        return self._unlink(child_vid)
+
+    def _link(self, parent_vid: int, child_vid: int) -> None:
+        """:meth:`attach` without validation (the caller guarantees it)."""
+        self._parent[child_vid] = parent_vid
+        self._children[parent_vid].append(child_vid)
+        self._attach_count += 1
+        self._attached_at[child_vid] = self._attach_count
+
+    def _unlink(self, child_vid: int) -> int:
+        """:meth:`detach` of an attached vertex, without validation."""
+        parent = self._parent[child_vid]
+        self._parent[child_vid] = -1
         self._children[parent].remove(child_vid)
         return parent
 
@@ -137,7 +160,9 @@ class SteinerTree:
 
     def parent_of(self, vid: int) -> Optional[int]:
         """Parent vid, or ``None`` for the root / unattached vertices."""
-        return self._parent.get(vid)
+        if 0 <= vid < len(self._parent) and self._parent[vid] >= 0:
+            return self._parent[vid]
+        return None
 
     def children_of(self, vid: int) -> Tuple[int, ...]:
         """Children in insertion order (GMP splits from the *last* one)."""
@@ -172,14 +197,17 @@ class SteinerTree:
         ]
 
     def edges(self) -> List[Tuple[int, int]]:
-        """All ``(parent, child)`` edges."""
-        return [(p, c) for c, p in self._parent.items()]
+        """All ``(parent, child)`` edges, in the order they were attached."""
+        parent = self._parent
+        children = [c for c in range(1, len(parent)) if parent[c] >= 0]
+        children.sort(key=self._attached_at.__getitem__)
+        return [(parent[c], c) for c in children]
 
     def total_length(self) -> float:
         """Sum of Euclidean edge lengths."""
         return sum(
             distance(self._vertices[p].location, self._vertices[c].location)
-            for c, p in self._parent.items()
+            for p, c in self.edges()
         )
 
     def depth_of(self, vid: int) -> int:
@@ -188,8 +216,8 @@ class SteinerTree:
         depth = 0
         current = vid
         while current != 0:
-            parent = self._parent.get(current)
-            if parent is None:
+            parent = self._parent[current]
+            if parent < 0:
                 raise ValueError(f"vertex {vid} is not connected to the root")
             current = parent
             depth += 1

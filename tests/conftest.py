@@ -56,7 +56,7 @@ def rng():
 #: Every size gate between a batched kernel and its scalar loop, as the
 #: ``(module, name)`` binding the call site reads at call time.
 SIZE_GATES = (
-    ("repro.steiner.rrstr", "MIN_BATCH"),
+    ("repro.steiner.rrstr", "RRSTR_MIN_GROUP"),
     ("repro.network.planar", "MIN_BATCH"),
     ("repro.network.graph", "_QUERY_BATCH_MIN"),
 )

@@ -238,6 +238,13 @@ class TestValidation:
                 config=contended_config(failed_node_ids=frozenset({0})),
             )
 
+    @pytest.mark.parametrize("link", [QUIET_LINK, LinkLayerConfig()], ids=["quiet", "beacons"])
+    def test_no_tasks_returns_no_results(self, link):
+        network = make_line_network(4, 100.0)
+        config = contended_config(link=link)
+        assert run_contended_tasks(network, [], GMPProtocol, config=config) == []
+        assert run_contended_tasks(network, [], GMPProtocol, start_times=[]) == []
+
     def test_start_times_must_match_tasks(self):
         network = make_line_network(3, 100.0)
         with pytest.raises(ValueError):

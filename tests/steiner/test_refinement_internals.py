@@ -3,7 +3,8 @@
 import pytest
 
 from repro.geometry import Point, distance
-from repro.steiner.rrstr import _root_path_length, refine_tree
+from repro.steiner.quality import root_path_length
+from repro.steiner.rrstr import refine_tree
 from repro.steiner.tree import SteinerTree
 
 
@@ -92,8 +93,6 @@ class TestReparent:
             },
         )
         refined = refine_tree(tree, max_stretch=1.05)
-        from repro.steiner.rrstr import _root_path_length
-
         t2 = next(v for v in refined.vertices() if v.ref == 2)
         radial = distance(Point(0, 0), t2.location)
         # Terminal 2 must not hang below terminal 1 (that chain would give
@@ -101,7 +100,7 @@ class TestReparent:
         # within the budget plus the Fermat-insertion detour bound.
         t1 = next(v for v in refined.vertices() if v.ref == 1)
         assert refined.parent_of(t2.vid) != t1.vid
-        assert _root_path_length(refined, t2.vid) <= 1.2 * radial
+        assert root_path_length(refined, t2.vid) <= 1.2 * radial
 
     def test_root_path_length_helper(self):
         tree, ids = build(
@@ -112,7 +111,7 @@ class TestReparent:
                 2: (Point(200, 0), "terminal", 2),
             },
         )
-        assert _root_path_length(tree, ids[2]) == pytest.approx(200.0)
+        assert root_path_length(tree, ids[2]) == pytest.approx(200.0)
 
 
 class TestInvariantsAfterRefinement:

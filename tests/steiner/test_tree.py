@@ -112,3 +112,12 @@ class TestQueries:
         tree, w, a, b, c = small_tree()
         assert set(tree.edges()) == {(0, w), (w, a), (w, b), (0, c)}
         assert set(tree.subtree_vids(w)) == {w, a, b}
+
+    def test_edges_list_in_attach_order(self):
+        # total_length sums edges in this order, so it fixes the last ulp.
+        tree, w, a, b, c = small_tree()
+        assert tree.edges() == [(0, w), (w, a), (w, b), (0, c)]
+        tree.detach(a)
+        tree.attach(c, a)
+        assert tree.edges() == [(0, w), (w, b), (0, c), (c, a)]
+        assert tree.parent_of(a) == c and tree.children_of(w) == (b,)
