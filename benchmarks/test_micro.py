@@ -136,6 +136,29 @@ def test_bench_task_execution(benchmark, micro_network, factory):
     )
 
 
+def test_bench_pbm_select_subset(benchmark):
+    """PBM's per-hop subset search on a 2-member and a 10-member pool.
+
+    The exact search scores all ``2^p - 1`` subsets of the pool; pools of 2
+    are the common hop of the paper's sweeps, 10 is the default exact limit.
+    """
+    rng = np.random.default_rng(19)
+    protocol = PBMProtocol(lam=0.3)
+    instances = []
+    for size in (2, 10):
+        dist = rng.uniform(50.0, 300.0, size=(30, 8))
+        own = np.full(8, 320.0)
+        instances.append((dist, own, list(range(size))))
+
+    def select_both():
+        return [
+            protocol._select_subset(dist, own, pool, neighbor_count=30)
+            for dist, own, pool in instances
+        ]
+
+    benchmark(select_both)
+
+
 def test_bench_task_execution_gmp_cold(benchmark, micro_network):
     """GMP with all perf caches disabled: the uncached reference path."""
     dests = [30, 90, 150, 210, 270, 330, 370, 399]

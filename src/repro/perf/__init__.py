@@ -36,7 +36,6 @@ from repro.perf.kernels import (
     MIN_BATCH,
     disk_mask,
     distances_sq_to,
-    distances_to,
     fermat_point_batch,
     pairwise_distances,
     gabriel_keep_mask,
@@ -65,7 +64,6 @@ __all__ = [
     "MIN_BATCH",
     "disk_mask",
     "distances_sq_to",
-    "distances_to",
     "fermat_point_batch",
     "gabriel_keep_mask",
     "group_distance_sums",

@@ -70,7 +70,6 @@ SCALAR_REFERENCES: Dict[str, str] = {
     "unit_disk_rows": "repro.network.graph.WirelessNetwork._build_neighbor_lists",
     "gabriel_keep_mask": "repro.network.planar.gabriel_neighbors",
     "rng_keep_mask": "repro.network.planar.rng_neighbors",
-    "distances_to": "repro.geometry.point.distance",
     "pairwise_distances": "repro.geometry.point.distance",
     "distances_sq_to": "repro.geometry.point.distance_sq",
     "nearest_index": "repro.geometry.point.distance_sq",
@@ -415,26 +414,13 @@ def rng_keep_mask(u: Point, coords: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def distances_to(locations: np.ndarray, target: Point) -> np.ndarray:
-    """Euclidean distances from each row of ``locations`` to ``target``.
-
-    Same ``sqrt(dx*dx + dy*dy)`` form (and operand order) as
-    :func:`repro.geometry.point.distance`, so each entry is bit-equal to the
-    scalar call — used by the rrSTR refinement's re-parent scan.
-    """
-    _record("refine_scan", locations.shape[0])
-    dx = locations[:, 0] - target[0]
-    dy = locations[:, 1] - target[1]
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     """Full ``(n, n)`` Euclidean distance matrix over ``coords``.
 
     Entry ``[i, j]`` uses ``sqrt((x_i-x_j)² + (y_i-y_j)²)`` with the same
-    operand order as :func:`repro.geometry.point.distance`, so column ``j``
-    is bit-equal to :func:`distances_to` ``(coords, coords[j])`` — one call
-    replaces a per-vertex batch in the rrSTR re-parent scan.
+    operand order as :func:`repro.geometry.point.distance`, so it is
+    bit-equal to ``distance(coords[j], coords[i])`` — one call replaces a
+    per-vertex batch in the rrSTR re-parent scan.
     """
     n = coords.shape[0]
     _record("refine_scan", n * n)

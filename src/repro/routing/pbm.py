@@ -28,7 +28,7 @@ may instead absorb them into routable groups).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,115 @@ from repro.routing.greedy import PROGRESS_EPSILON, total_distance
 from repro.routing.perimeter import enter_perimeter, perimeter_next_hop
 
 _PERIMETER_EXITS = ("closer", "eager")
+
+#: Low mask bits scored per NumPy pass.  The exact search enumerates the
+#: subsets of a pool in blocks of ``2^_BLOCK_BITS`` masks, so a pool of 20
+#: never holds more than 4096 rows of subset minima at once.
+_BLOCK_BITS = 12
+
+
+class _Scorer:
+    """PBM's objective f(W) over one hop's routable destinations."""
+
+    def __init__(
+        self, dist: np.ndarray, own_dist: np.ndarray, lam: float, neighbor_count: int
+    ) -> None:
+        self.limit = own_dist - PROGRESS_EPSILON
+        self.own_total = float(own_dist.sum())
+        self.lam = lam
+        self.neighbor_count = neighbor_count
+
+    def scores(
+        self, mins: np.ndarray, sizes: Union[int, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(admissible, f) per row of subset minima, for subsets of ``sizes``
+        members.  A row of ``sum(axis=1)`` is bit-equal to the 1-D ``sum`` of
+        that row, so each f is the one a subset scored alone would get."""
+        lam, own_total = self.lam, self.own_total
+        valid = (mins < self.limit).all(axis=1)
+        if own_total > 0:
+            progress = mins.sum(axis=1) / own_total
+        else:
+            progress = np.zeros(len(mins))
+        f = lam * sizes / self.neighbor_count + (1.0 - lam) * progress
+        return valid, f
+
+    def best_mask(self, rows: np.ndarray) -> Optional[int]:
+        """The winning mask over the rows of a pool, or None if no subset is
+        admissible.
+
+        Replays the sequential rule only over the masks that could displace
+        the incumbent.  An update raises the incumbent by at most 1e-15, and a
+        mask that does not update leaves it within 1e-15 (plus rounding) of
+        its own f.  So within a block the incumbent never exceeds the lower
+        of its value at the block's start and the least admissible f seen
+        earlier in the block, by more than ``(block + 2) * 1e-15`` plus
+        rounding.  A mask above that reach plus 1e-15 cannot update, and
+        ``slack`` bounds all of it with room to spare.
+        """
+        if not len(rows):
+            return None
+        low_bits = min(len(rows), _BLOCK_BITS)
+        low_mins, low_sizes = _subset_minima(rows[:low_bits])
+        high_mins, high_sizes = _subset_minima(rows[low_bits:])
+        slack = (len(low_mins) + 4) * 4e-15 * (
+            1.0 + self.lam * len(rows) / self.neighbor_count
+        )
+        best: Optional[int] = None
+        best_score = float("inf")
+        best_size = 0
+        for high in range(len(high_mins)):
+            if high == 0:  # Skip the empty subset.
+                base, mins, sizes = 1, low_mins[1:], low_sizes[1:]
+            else:
+                base = high << low_bits
+                mins = np.minimum(low_mins, high_mins[high])
+                sizes = low_sizes + high_sizes[high]
+            valid, f = self.scores(mins, sizes)
+            admissible = np.where(valid, f, np.inf)
+            reach = np.minimum.accumulate(
+                np.concatenate(([best_score], admissible[:-1]))
+            )
+            contenders = np.flatnonzero(valid & (f <= reach + slack))
+            for t, score, size in zip(
+                contenders.tolist(),
+                f[contenders].tolist(),
+                sizes[contenders].tolist(),
+            ):
+                if score < best_score - 1e-15 or (
+                    abs(score - best_score) <= 1e-15
+                    and best is not None
+                    and size < best_size
+                ):
+                    best, best_score, best_size = base + t, score, size
+        return best
+
+
+def _subset_minima(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column minima and member counts of every subset of ``rows``, by mask.
+
+    Row 0 is the empty subset (all ``inf``); ``mask | 1 << i`` extends
+    ``mask < 1 << i`` by row ``i``.
+    """
+    mins = np.empty((1 << len(rows), rows.shape[1]))
+    mins[0] = np.inf
+    sizes = np.zeros(1 << len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        span = 1 << i
+        np.minimum(mins[:span], row, out=mins[span : 2 * span])
+        np.add(sizes[:span], 1, out=sizes[span : 2 * span])
+    return mins, sizes
+
+
+def _removal_minima(rows: np.ndarray) -> np.ndarray:
+    """Row ``i``: the column minima of ``rows`` without row ``i`` (2+ rows)."""
+    before = np.minimum.accumulate(rows, axis=0)
+    after = np.minimum.accumulate(rows[::-1], axis=0)[::-1]
+    mins = np.empty_like(rows)
+    mins[0] = after[1]
+    mins[-1] = before[-2]
+    np.minimum(before[:-2], after[2:], out=mins[1:-1])
+    return mins
 
 
 class PBMProtocol(RoutingProtocol):
@@ -137,9 +246,9 @@ class PBMProtocol(RoutingProtocol):
 
         # Assign each routable destination to the closest subset member.
         groups: Dict[int, List[Destination]] = {}
-        for col, dest_idx in enumerate(routable_idx):
-            member = min(subset, key=lambda m: sub_dist[m, col])
-            groups.setdefault(member, []).append(destinations[int(dest_idx)])
+        members = self._assign(sub_dist, subset)
+        for dest_idx, member in zip(routable_idx.tolist(), members):
+            groups.setdefault(member, []).append(destinations[dest_idx])
         decisions = [
             ForwardDecision(
                 neighbor_ids[member], packet.with_destinations(group)
@@ -147,6 +256,13 @@ class PBMProtocol(RoutingProtocol):
             for member, group in sorted(groups.items())
         ]
         return decisions, void_group
+
+    @staticmethod
+    def _assign(dist: np.ndarray, subset: Sequence[int]) -> List[int]:
+        """The subset member closest to each destination column; the first in
+        subset order on a tie (``argmin`` keeps the first minimum)."""
+        closest = np.argmin(dist[np.asarray(subset)], axis=0).tolist()
+        return [subset[i] for i in closest]
 
     def _candidate_pool(
         self, dist: np.ndarray, own_dist: np.ndarray
@@ -157,17 +273,16 @@ class PBMProtocol(RoutingProtocol):
         order seeds subset enumeration, so it must be identical under every
         ``PYTHONHASHSEED``.
         """
+        orders = np.argsort(dist, axis=0, kind="stable").T.tolist()
+        columns = dist.T.tolist()
+        limits = (own_dist - PROGRESS_EPSILON).tolist()
+        per_destination = self.candidates_per_destination
         pool: Dict[int, None] = {}
-        for z in range(dist.shape[1]):
-            order = np.argsort(dist[:, z], kind="stable")
-            taken = 0
-            for i in order:
-                if dist[i, z] >= own_dist[z] - PROGRESS_EPSILON:
+        for order, column, limit in zip(orders, columns, limits):
+            for i in order[:per_destination]:
+                if column[i] >= limit:
                     break  # Sorted: nothing further makes progress either.
-                pool.setdefault(int(i), None)
-                taken += 1
-                if taken >= self.candidates_per_destination:
-                    break
+                pool.setdefault(i, None)
         return list(pool)
 
     def _select_subset(
@@ -177,51 +292,38 @@ class PBMProtocol(RoutingProtocol):
         pool: Sequence[int],
         neighbor_count: int,
     ) -> List[int]:
-        """Minimize f(W) over admissible subsets of the candidate pool."""
-        own_total = float(own_dist.sum())
-        lam = self.lam
+        """Minimize f(W) over admissible subsets of the candidate pool.
 
-        def score(member_rows: np.ndarray) -> Tuple[bool, float]:
-            mins = dist[member_rows].min(axis=0)
-            valid = bool((mins < own_dist - PROGRESS_EPSILON).all())
-            f = lam * len(member_rows) / neighbor_count + (1.0 - lam) * (
-                float(mins.sum()) / own_total if own_total > 0 else 0.0
-            )
-            return valid, f
-
+        Small pools are searched exhaustively, in mask order: bit ``i`` of a
+        mask means ``pool[i]`` is a member, and a subset replaces the
+        incumbent when its score is lower by more than 1e-15, or within
+        1e-15 with fewer members.  Every subset is scored in one NumPy pass
+        per block of masks; only the few masks that could displace the
+        incumbent are replayed through that sequential rule.
+        """
+        scorer = _Scorer(dist, own_dist, self.lam, neighbor_count)
         if len(pool) <= self.exact_pool_limit:
-            best: Optional[List[int]] = None
-            best_score = float("inf")
-            pool_list = list(pool)
-            for mask in range(1, 1 << len(pool_list)):
-                members = [pool_list[i] for i in range(len(pool_list)) if mask >> i & 1]
-                valid, f = score(np.asarray(members))
-                if valid and (
-                    f < best_score - 1e-15
-                    or (
-                        abs(f - best_score) <= 1e-15
-                        and best is not None
-                        and len(members) < len(best)
-                    )
-                ):
-                    best, best_score = members, f
+            best = scorer.best_mask(dist[list(pool)])
             if best is not None:
-                return best
+                return [m for i, m in enumerate(pool) if best >> i & 1]
             # Fall through to the always-valid per-destination-best subset.
 
-        # Greedy removal descent from the per-destination-best subset.
-        current = sorted({int(np.argmin(dist[:, z])) for z in range(dist.shape[1])})
-        _, current_score = score(np.asarray(current))
-        improved = True
-        while improved and len(current) > 1:
-            improved = False
-            for member in list(current):
-                candidate = [m for m in current if m != member]
-                valid, f = score(np.asarray(candidate))
-                if valid and f < current_score - 1e-15:
-                    current, current_score = candidate, f
-                    improved = True
-                    break
+        # Greedy removal descent from the per-destination-best subset: take
+        # the first single-member removal, in member order, that improves.
+        current = sorted(set(np.argmin(dist, axis=0).tolist()))
+        rows = dist[np.asarray(current)]
+        _, f = scorer.scores(rows.min(axis=0, keepdims=True), len(current))
+        current_score = float(f[0])
+        while len(current) > 1:
+            mins = _removal_minima(rows)
+            valid, f = scorer.scores(mins, len(current) - 1)
+            better = np.flatnonzero(valid & (f < current_score - 1e-15))
+            if better.size == 0:
+                break
+            drop = int(better[0])
+            current.pop(drop)
+            rows = np.delete(rows, drop, axis=0)
+            current_score = float(f[drop])
         return current
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.perf.kernels import (
     MIN_BATCH,
     disk_mask,
     distances_sq_to,
-    distances_to,
     fermat_point_batch,
     gabriel_keep_mask,
     group_distance_sums,
@@ -247,20 +246,6 @@ def test_keep_masks_direct_against_scalar_tests() -> None:
                 if w_idx != v_idx
             )
             assert bool(r_mask[v_idx]) == (not r_witnessed)
-
-
-def test_distances_to_bit_identical() -> None:
-    rng = random.Random(55)
-    checked = 0
-    while checked < 1200:
-        n = rng.randint(1, 60)
-        pts = [_random_point(rng, 0.0, 1000.0) for _ in range(n)]
-        target = _random_point(rng, 0.0, 1000.0)
-        arr = np.array([[p.x, p.y] for p in pts])
-        batch = distances_to(arr, target)
-        for i, p in enumerate(pts):
-            assert batch[i] == distance(p, target)
-        checked += n
 
 
 def test_pairwise_distances_bit_identical() -> None:
