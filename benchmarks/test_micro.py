@@ -24,7 +24,6 @@ from repro.network.topology import uniform_random_topology
 from repro.perf.cache import caches_disabled, clear_caches
 from repro.routing import GMPProtocol, LGSProtocol, PBMProtocol, SMTProtocol
 from repro.simkit.rng import RandomStreams
-from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator
 from repro.steiner.kmb import kmb_steiner_tree
 from repro.steiner.mst import euclidean_mst
@@ -404,32 +403,36 @@ def test_bench_network_attach_5k(benchmark, shared_plane_manifest_5k):
     benchmark.pedantic(attach, rounds=5, iterations=1, warmup_rounds=1)
 
 
-def _mac_like_schedule(scheduler, churn=60_000, live=30_000, seed=211):
-    """Drive a scheduler through a contended-MAC-shaped event stream.
+def _mac_like_schedule(churn=60_000, live=30_000, seed=211):
+    """Drive a simulator through a contended-MAC-shaped event stream.
 
     Mimics what the CSMA link layer generates at the 50k-node scale: tens
     of thousands of concurrently pending backoff/ACK/beacon timers with a
     dense sub-millisecond near-future band, churned hold-one-pop-one in
-    steady state.
+    steady state: every firing timer reschedules itself, as a deferring
+    MAC does, until the churn budget is spent and the queue drains.
     """
     rng = np.random.default_rng(seed)
-    delays = rng.uniform(1e-4, 5e-3, live + churn)
-    now = 0.0
-    for i in range(live):
-        scheduler.schedule(now + float(delays[i]), lambda: None)
-    for i in range(live, live + churn):
-        event = scheduler.pop_next()
-        now = event.time
-        scheduler.schedule(now + float(delays[i]), lambda: None)
-    while len(scheduler) > 0:
-        scheduler.pop_next()
+    delays = rng.uniform(1e-4, 5e-3, live + churn).tolist()
+    simulator = Simulator()
+    churn_delays = iter(delays[live:])
+
+    def timer():
+        delay = next(churn_delays, None)
+        if delay is not None:
+            simulator.schedule_after(delay, timer)
+
+    for delay in delays[:live]:
+        simulator.schedule_at(delay, timer)
+    simulator.run()
+    assert simulator.events_processed == live + churn
     return live + churn
 
 
 def test_bench_scheduler_heap(benchmark):
-    """The binary-heap scheduler under the contended-MAC event stream."""
+    """The simulator's event heap under the contended-MAC event stream."""
     benchmark.pedantic(
-        lambda: _mac_like_schedule(EventScheduler()),
+        _mac_like_schedule,
         rounds=5,
         iterations=1,
         warmup_rounds=1,

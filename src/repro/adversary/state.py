@@ -225,4 +225,4 @@ class AdversaryState:
                 link, spec, at_s + spec.jam_period_s, on_air_s, horizon_s
             )
 
-        link.simulator.schedule_at(at_s, fire, label=f"jam@{spec.node_id}")
+        link.simulator.schedule_at(at_s, fire)

@@ -278,6 +278,9 @@ class _Run:
         """Digest-excluded instrumentation attached to the session's result."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release per-run medium state once the results are taken."""
+
     # ------------------------------------------------------- routing core
 
     def copy_lost(self, session: _Session) -> bool:
@@ -407,14 +410,14 @@ class _Run:
         for session in self.sessions.values():
             if session.destination_ids:
                 self.simulator.schedule_at(
-                    session.start_s,
-                    lambda s=session: self._start(s),
-                    label=f"session-start@{session.task_id}",
+                    session.start_s, lambda s=session: self._start(s)
                 )
         budget = MAX_EVENTS_PER_TASK * max(1, len(self.sessions))
         until, max_events = self.open(budget)
         self.simulator.run(until=until, max_events=max_events)
-        return [self._result_of(session) for session in self.sessions.values()]
+        results = [self._result_of(session) for session in self.sessions.values()]
+        self.close()
+        return results
 
     def _result_of(self, session: _Session) -> TaskResult:
         meter = session.meter
@@ -492,9 +495,7 @@ class _IdealRun(_Run):
             outcomes.append((receiver, packet, lost))
             if not lost:
                 self.simulator.schedule_after(
-                    airtime,
-                    lambda r=receiver, p=packet: self.arrive(session, r, p),
-                    label=f"rx@{receiver}",
+                    airtime, lambda r=receiver, p=packet: self.arrive(session, r, p)
                 )
         if session.trace is not None:
             _record_frame(
@@ -645,6 +646,14 @@ class _ContendedRun(_Run):
 
     def perf(self, session: _Session) -> Optional[Dict[str, float]]:
         return self.link.stats.session_perf(session.task_id)
+
+    def close(self) -> None:
+        # The link layer's hooks close over this run, and every MAC points
+        # back at the link layer.  Breaking both cycles frees a finished run
+        # at once instead of at the cyclic collector's next full pass, which
+        # comes rarely once many objects are long-lived.
+        self.link.close()
+        del self.link
 
 
 def run_task(

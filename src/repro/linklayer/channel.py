@@ -19,8 +19,10 @@ spatial index, drive the MAC:
   frames overlapping at a common receiver destroy each other there.
 
 Overlap bookkeeping is exact and cheap: every pair of time-overlapping
-transmissions registers mutually at ``begin`` time, so the collision check
-at ``finish`` time only scans that (small) list.
+transmissions registers each other's sender at ``begin`` time, so the
+collision check at ``finish`` time only scans that (small) list.  Senders,
+not transmissions, are kept, so finished frames never reference each other
+and are freed as soon as the MAC lets go of them.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from repro.network.graph import WirelessNetwork
 class Transmission:
     """One frame's occupancy of the air, ``[start_s, end_s)``."""
 
-    __slots__ = ("frame", "start_s", "end_s", "overlaps")
+    __slots__ = ("frame", "sender_id", "start_s", "end_s", "overlap_senders")
 
     def __init__(self, frame: Frame, start_s: float, end_s: float) -> None:
         self.frame = frame
+        self.sender_id = frame.sender_id
         self.start_s = start_s
         self.end_s = end_s
-        #: Every transmission whose airtime overlapped this one (mutual).
-        self.overlaps: List["Transmission"] = []
+        #: Sender of every transmission whose airtime overlapped this one.
+        self.overlap_senders: List[int] = []
 
 
 class Channel:
@@ -89,13 +92,13 @@ class Channel:
             raise ValueError(f"airtime must be positive, got {airtime_s}")
         tx = Transmission(frame, now_s, now_s + airtime_s)
         for other in self._active:
-            other.overlaps.append(tx)
-            tx.overlaps.append(other)
+            other.overlap_senders.append(tx.sender_id)
+            tx.overlap_senders.append(other.sender_id)
         self._active.append(tx)
         return tx
 
     def finish(self, tx: Transmission) -> None:
-        """Take ``tx`` off the air (its overlap history is preserved)."""
+        """Take ``tx`` off the air (its overlap senders are preserved)."""
         self._active.remove(tx)
 
     def reserve(self, node_ids: FrozenSet[int], until_s: float) -> None:
@@ -121,12 +124,14 @@ class Channel:
         the latest such end time, or ``None`` when the channel appears idle
         (possibly wrongly — that is the point).
         """
-        audible = self.interferers_of(node_id)
+        audible = self._interferers.get(node_id)
+        if audible is None:
+            audible = self.interferers_of(node_id)
         latest: Optional[float] = None
         for tx in self._active:
             if tx.start_s + sensing_delay_s > now_s:
                 continue  # Still inside the vulnerable window: inaudible.
-            if tx.frame.sender_id not in audible:
+            if tx.sender_id not in audible:
                 continue
             if latest is None or tx.end_s > latest:
                 latest = tx.end_s
@@ -142,9 +147,12 @@ class Channel:
         (half-duplex) or any overlapping transmission came from inside the
         receiver's interference radius.
         """
-        interferers = self.interferers_of(receiver_id)
-        for other in tx.overlaps:
-            sender = other.frame.sender_id
+        if not tx.overlap_senders:
+            return False
+        interferers = self._interferers.get(receiver_id)
+        if interferers is None:
+            interferers = self.interferers_of(receiver_id)
+        for sender in tx.overlap_senders:
             if sender == receiver_id or sender in interferers:
                 return True
         return False

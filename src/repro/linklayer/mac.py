@@ -37,8 +37,8 @@ from collections import deque
 from typing import (
     Callable,
     Deque,
-    Dict,
     FrozenSet,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -81,6 +81,31 @@ ChargeHook = Callable[[Optional[int], int, Optional[int], bool], None]
 LossHook = Callable[[int, int], bool]
 
 
+#: Raw 32-bit words per draw from a node's backoff stream (see
+#: :func:`_backoff_words`).
+_BACKOFF_BLOCK = 64
+_WORD_RANGE = 1 << 32
+_WORD_MASK = _WORD_RANGE - 1
+
+
+def _backoff_words(rng: np.random.Generator) -> Iterator[int]:
+    """The raw 32-bit words of ``rng``, drawn :data:`_BACKOFF_BLOCK` at a time.
+
+    ``integers(0, 2**32, dtype=uint32)`` returns the generator's next 32-bit
+    outputs unchanged, and they are the very words ``integers(0, cw)``
+    consumes one at a time, so drawing them ahead changes no slot.  That
+    holds only because nothing else reads the node's ``("backoff",
+    node_id)`` stream: :class:`LinkLayer` creates it for this node's MAC
+    alone, and a draw by anyone else would see words already spent here.
+    A block stays packed (iterating a memoryview yields plain ints one at a
+    time), so a node holds a few hundred bytes of words, not a list.
+    """
+    while True:
+        yield from memoryview(
+            rng.integers(0, _WORD_RANGE, size=_BACKOFF_BLOCK, dtype=np.uint32)
+        )
+
+
 class _Job:
     """One frame's trip through a node's MAC queue (mutable ARQ state)."""
 
@@ -107,14 +132,18 @@ class _Job:
 class NodeMac:
     """One node's FIFO queue plus carrier-sense/backoff state machine."""
 
-    __slots__ = ("_layer", "node_id", "_rng", "_queue", "_current")
+    __slots__ = (
+        "_layer", "node_id", "_words", "_queue", "_current", "_difs_s", "_slot_s"
+    )
 
     def __init__(self, layer: "LinkLayer", node_id: int, rng: np.random.Generator) -> None:
         self._layer = layer
         self.node_id = node_id
-        self._rng = rng
+        self._words = _backoff_words(rng)
         self._queue: Deque[_Job] = deque()
         self._current: Optional[_Job] = None
+        self._difs_s = layer.config.difs_s
+        self._slot_s = layer.config.slot_time_s
 
     @property
     def queue_depth(self) -> int:
@@ -122,10 +151,23 @@ class NodeMac:
         return len(self._queue)
 
     def draw_backoff_s(self, cw_slots: int) -> float:
-        """DIFS plus a uniform ``[0, cw)``-slot backoff, in seconds."""
-        config = self._layer.config
-        slots = int(self._rng.integers(0, cw_slots))
-        return config.difs_s + slots * config.slot_time_s
+        """DIFS plus a uniform ``[0, cw)``-slot backoff, in seconds.
+
+        The slot count is exactly ``rng.integers(0, cw_slots)``: NumPy's
+        bounded Lemire rule applied to the stream's next 32-bit words (a
+        one-slot window draws nothing; a word whose low product half falls
+        under ``(2**32 - cw) % cw`` is rejected and the next one tried).
+        """
+        if cw_slots < 1:
+            raise ValueError(f"contention window must be >= 1 slot, got {cw_slots}")
+        slots = 0
+        if cw_slots > 1:
+            threshold = (_WORD_RANGE - cw_slots) % cw_slots
+            product = next(self._words) * cw_slots
+            while product & _WORD_MASK < threshold:
+                product = next(self._words) * cw_slots
+            slots = product >> 32
+        return self._difs_s + slots * self._slot_s
 
     def enqueue(self, job: _Job) -> None:
         self._queue.append(job)
@@ -142,9 +184,7 @@ class NodeMac:
             return
         self._current = self._queue.popleft()
         self._layer.simulator.schedule_after(
-            self.draw_backoff_s(self._current.cw),
-            self.attempt,
-            label=f"mac-attempt@{self.node_id}",
+            self.draw_backoff_s(self._current.cw), self.attempt
         )
 
     def attempt(self) -> None:
@@ -153,20 +193,16 @@ class NodeMac:
         if job is None:  # pragma: no cover - defensive; jobs never vanish
             return
         layer = self._layer
-        busy_end = layer.channel.busy_until(
-            self.node_id, layer.simulator.now, layer.config.slot_time_s
-        )
+        simulator = layer.simulator
+        now = simulator.now
+        busy_end = layer.channel.busy_until(self.node_id, now, self._slot_s)
         if busy_end is not None:
-            layer.stats.bump(
-                "backoff_defers",
-                job.session_id if job.kind == DATA else None,
-            )
-            wait = max(busy_end - layer.simulator.now, 0.0)
-            layer.simulator.schedule_after(
-                wait + self.draw_backoff_s(job.cw),
-                self.attempt,
-                label=f"mac-defer@{self.node_id}",
-            )
+            # Beacon jobs carry no session, so they bump the global bucket.
+            layer.stats.bump("backoff_defers", job.session_id)
+            wait = busy_end - now
+            if wait < 0.0:
+                wait = 0.0
+            simulator.schedule_after(wait + self.draw_backoff_s(job.cw), self.attempt)
             return
         layer.transmit(self, job)
 
@@ -221,6 +257,8 @@ class LinkLayer:
             else None
         )
         self._ack_airtime_s = network.radio.transmission_time(config.ack_bytes)
+        #: One ACK's slot in a train: its airtime plus the SIFS before it.
+        self._ack_slot_s = self._ack_airtime_s + config.sifs_s
         self._next_uid = 0
         #: copy_uids already delivered to their receiver (link-level dedup).
         self._delivered_uids: Set[int] = set()
@@ -280,9 +318,7 @@ class LinkLayer:
             first = float(rng.uniform(0.0, self.config.beacon_period_s))
             if first <= horizon_s:
                 self.simulator.schedule_at(
-                    first,
-                    self._beacon_tick(node_id, horizon_s),
-                    label=f"beacon@{node_id}",
+                    first, self._beacon_tick(node_id, horizon_s, rng)
                 )
 
     def jam(self, node_id: int, on_air_s: float, size_bytes: int) -> None:
@@ -303,53 +339,51 @@ class LinkLayer:
         self.stats.bump_adv("jam_frames")
         if self._on_frame is not None:
             self._on_frame(None, JAM, node_id, tx.start_s, 0, ())
-        self.simulator.schedule_after(
-            on_air_s,
-            lambda: self.channel.finish(tx),
-            label=f"jam-end@{node_id}",
-        )
+        self.simulator.schedule_after(on_air_s, lambda: self.channel.finish(tx))
+
+    def close(self) -> None:
+        """Drop every node's MAC once the run is over.
+
+        Each MAC points back at this layer; clearing them breaks that cycle.
+        """
+        self._macs.clear()
 
     # ------------------------------------------------------- transmit path
 
     def transmit(self, mac: NodeMac, job: _Job) -> None:
         """Put ``job``'s frame on the air (the channel was sensed idle)."""
-        size = (
-            job.size_bytes
-            if job.size_bytes is not None
-            else self._network.radio.message_size_bytes
-        )
+        radio = self._network.radio
+        size = job.size_bytes if job.size_bytes is not None else radio.message_size_bytes
+        session_id = job.session_id
+        is_data = job.kind == DATA
         frame = Frame(
             kind=job.kind,
             sender_id=mac.node_id,
             size_bytes=size,
-            session_id=job.session_id,
+            session_id=session_id,
             copies=job.copies,
             retry=job.retry,
         )
-        airtime = self._network.radio.transmission_time(size)
-        tx = self.channel.begin(frame, self.simulator.now, airtime)
-        self._charge(job.session_id, mac.node_id, job.size_bytes, job.kind == DATA)
-        if job.kind == DATA:
-            self.stats.bump("data_frames", job.session_id)
+        airtime = radio.transmission_time(size)
+        channel = self.channel
+        tx = channel.begin(frame, self.simulator.now, airtime)
+        self._charge(session_id, mac.node_id, job.size_bytes, is_data)
+        stats = self.stats
+        if is_data:
+            stats.bump("data_frames", session_id)
             if job.retry > 0:
-                self.stats.bump("retransmissions", job.session_id)
+                stats.bump("retransmissions", session_id)
             if job.arq:
                 # Virtual carrier sense: the frame's duration field reserves
                 # the channel through its ACK train for everyone who can
                 # hear the sender, covering the inter-ACK SIFS gaps.
-                train_end = tx.end_s + self.config.sifs_s + len(job.copies) * (
-                    self._ack_airtime_s + self.config.sifs_s
+                train_end = (
+                    tx.end_s + self.config.sifs_s + len(job.copies) * self._ack_slot_s
                 )
-                self.channel.reserve(
-                    self.channel.interferers_of(mac.node_id), train_end
-                )
+                channel.reserve(channel.interferers_of(mac.node_id), train_end)
         else:
-            self.stats.bump("beacons_sent")
-        self.simulator.schedule_after(
-            airtime,
-            lambda: self._finish(mac, job, tx),
-            label=f"tx-end@{mac.node_id}",
-        )
+            stats.bump("beacons_sent")
+        self.simulator.schedule_after(airtime, lambda: self._finish(mac, job, tx))
 
     def _finish(self, mac: NodeMac, job: _Job, tx: Transmission) -> None:
         """Frame left the air: judge every copy's reception."""
@@ -360,14 +394,15 @@ class LinkLayer:
             return
         session_id = job.session_id
         assert session_id is not None  # DATA frames always belong to a session
+        channel, stats, failed = self.channel, self.stats, self._failed
         outcomes: List[CopyOutcome] = []
         survivors: List[Tuple[int, FrameCopy]] = []
         for index, copy in enumerate(job.copies):
             receiver = copy.receiver_id
-            if self.channel.reception_collided(tx, receiver):
-                self.stats.bump("collisions", session_id)
+            if channel.reception_collided(tx, receiver):
+                stats.bump("collisions", session_id)
                 lost = True
-            elif receiver in self._failed:
+            elif receiver in failed:
                 lost = True
             else:
                 lost = self._copy_loss(session_id, receiver)
@@ -378,27 +413,25 @@ class LinkLayer:
             self._on_frame(
                 session_id, DATA, mac.node_id, tx.start_s, job.retry, outcomes
             )
+        simulator = self.simulator
+        sifs_s = self.config.sifs_s
+        delivered = self._delivered_uids
         for index, copy in survivors:
-            if copy.copy_uid in self._delivered_uids:
-                self.stats.bump("duplicates_suppressed", session_id)
+            if copy.copy_uid in delivered:
+                stats.bump("duplicates_suppressed", session_id)
             else:
-                self._delivered_uids.add(copy.copy_uid)
+                delivered.add(copy.copy_uid)
                 self._deliver(session_id, copy.receiver_id, copy.packet)
             if job.arq:
-                self.simulator.schedule_after(
-                    self.config.sifs_s
-                    + index * (self._ack_airtime_s + self.config.sifs_s),
+                simulator.schedule_after(
+                    sifs_s + index * self._ack_slot_s,
                     self._send_ack(copy, mac.node_id, session_id),
-                    label=f"ack@{copy.receiver_id}",
                 )
         if job.arq:
-            train = self.config.sifs_s + len(job.copies) * (
-                self._ack_airtime_s + self.config.sifs_s
-            )
-            self.simulator.schedule_after(
+            train = sifs_s + len(job.copies) * self._ack_slot_s
+            simulator.schedule_after(
                 train + self.config.slot_time_s,
                 lambda: self._ack_timeout(mac, job),
-                label=f"ack-timeout@{mac.node_id}",
             )
         else:
             mac.job_done()
@@ -421,7 +454,6 @@ class LinkLayer:
             self.simulator.schedule_after(
                 self._ack_airtime_s,
                 lambda: self._finish_ack(tx, copy, data_sender_id, session_id),
-                label=f"ack-end@{copy.receiver_id}",
             )
 
         return fire
@@ -456,31 +488,28 @@ class LinkLayer:
         job.retry += 1
         job.copies = pending  # copy_uids survive so receivers can dedup
         job.cw = min(job.cw * 2, self.config.cw_max_slots)
-        self.simulator.schedule_after(
-            mac.draw_backoff_s(job.cw),
-            mac.attempt,
-            label=f"retry@{mac.node_id}",
-        )
+        self.simulator.schedule_after(mac.draw_backoff_s(job.cw), mac.attempt)
 
     # ------------------------------------------------------------- beacons
 
-    def _beacon_tick(self, node_id: int, horizon_s: float) -> Callable[[], None]:
+    def _beacon_tick(
+        self, node_id: int, horizon_s: float, rng: np.random.Generator
+    ) -> Callable[[], None]:
+        """The HELLO event of ``node_id``; ``rng`` is its ``beacon`` stream."""
+
         def fire() -> None:
             job = _Job(
                 BEACON, None, (), self.config.beacon_bytes, False,
                 self.config.cw_min_slots,
             )
             self._macs[node_id].enqueue(job)
-            rng = self._beacon_streams.stream("beacon", node_id)
             jitter = float(
                 rng.uniform(-self.config.beacon_jitter_s, self.config.beacon_jitter_s)
             )
             next_time = self.simulator.now + self.config.beacon_period_s + jitter
             if next_time <= horizon_s:
                 self.simulator.schedule_at(
-                    next_time,
-                    self._beacon_tick(node_id, horizon_s),
-                    label=f"beacon@{node_id}",
+                    next_time, self._beacon_tick(node_id, horizon_s, rng)
                 )
 
         return fire
@@ -492,10 +521,12 @@ class LinkLayer:
         location = self._advertised(sender)
         if self._on_frame is not None:
             self._on_frame(None, BEACON, sender, tx.start_s, 0, ())
+        channel, failed = self.channel, self._failed
+        now = self.simulator.now
         for listener in self._network.listeners_of(sender):
-            if listener in self._failed:
+            if listener in failed:
                 continue
-            if self.channel.reception_collided(tx, listener):
+            if channel.reception_collided(tx, listener):
                 self.stats.bump("beacon_collisions")
                 continue
-            service.hear_beacon(listener, sender, location, self.simulator.now)
+            service.hear_beacon(listener, sender, location, now)

@@ -43,19 +43,26 @@ class NeighborTable:
 
     def live_ids(self, now_s: float, expiry_s: float) -> Tuple[int, ...]:
         """Ascending ids of entries younger than ``expiry_s``."""
-        deadline = now_s - expiry_s
-        return tuple(
-            sorted(
-                node_id
-                for node_id, (_, heard) in self._entries.items()
-                if heard >= deadline
-            )
-        )
+        return tuple(self.live_locations(now_s, expiry_s))
 
     def location_entry(self, node_id: int) -> Optional[Point]:
         """Last advertised location of ``node_id`` (``None`` if never heard)."""
         entry = self._entries.get(node_id)
         return entry[0] if entry is not None else None
+
+    def live_locations(self, now_s: float, expiry_s: float) -> Dict[int, Point]:
+        """Last advertised location of every entry younger than ``expiry_s``.
+
+        Keyed in ascending id order.
+        """
+        deadline = now_s - expiry_s
+        return dict(
+            sorted(
+                (node_id, location)
+                for node_id, (location, heard) in self._entries.items()
+                if heard >= deadline
+            )
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -189,13 +196,8 @@ class BeaconService:
 
     def view(self, node_id: int, now_s: float) -> BeaconNodeView:
         """The node's routing view as its beacon table stands at ``now_s``."""
-        table = self._tables[node_id]
-        ids = table.live_ids(now_s, self._expiry_s)
-        locations: Dict[int, Point] = {}
-        for neighbor_id in ids:
-            location = table.location_entry(neighbor_id)
-            assert location is not None  # live_ids only returns heard entries
-            locations[neighbor_id] = location
+        locations = self._tables[node_id].live_locations(now_s, self._expiry_s)
+        ids = tuple(locations)
         view = BeaconNodeView(self._network, node_id, ids, locations)
         memo_key = (node_id, ids)
         planar = self._planar_memo.get(memo_key)

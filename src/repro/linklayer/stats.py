@@ -10,32 +10,37 @@ timing) is digested separately.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, Optional, Tuple
 
 
 class LinkStats:
     """Per-session and global tallies of link-layer events."""
 
     def __init__(self) -> None:
-        self._per_session: Dict[int, Dict[str, int]] = {}
-        self._global: Dict[str, int] = {}
+        #: ``(session id, key) -> tally``; session ``None`` is the global
+        #: (infrastructure) bucket.
+        self._counts: DefaultDict[Tuple[Optional[int], str], int] = defaultdict(int)
         self._adversary: Dict[str, int] = {}
 
     def bump(
         self, key: str, session_id: Optional[int] = None, amount: int = 1
     ) -> None:
         """Add ``amount`` to ``key`` (session bucket, or global if ``None``)."""
-        if session_id is None:
-            self._global[key] = self._global.get(key, 0) + amount
-        else:
-            bucket = self._per_session.setdefault(session_id, {})
-            bucket[key] = bucket.get(key, 0) + amount
+        self._counts[session_id, key] += amount
 
     def session_count(self, session_id: int, key: str) -> int:
-        return self._per_session.get(session_id, {}).get(key, 0)
+        return self._counts.get((session_id, key), 0)
 
     def global_count(self, key: str) -> int:
-        return self._global.get(key, 0)
+        return self._counts.get((None, key), 0)
+
+    def _bucket(self, session_id: Optional[int]) -> Dict[str, int]:
+        return {
+            key: count
+            for (owner, key), count in self._counts.items()
+            if owner == session_id
+        }
 
     def bump_adv(self, key: str, amount: int = 1) -> None:
         """Add ``amount`` to the adversary-behavior counter ``key``.
@@ -57,11 +62,12 @@ class LinkStats:
         sessions ran over.
         """
         out: Dict[str, float] = {}
-        bucket = self._per_session.get(session_id, {})
+        bucket = self._bucket(session_id)
         for key in sorted(bucket):
             out[f"mac.{key}"] = float(bucket[key])
-        for key in sorted(self._global):
-            out[f"link.{key}"] = float(self._global[key])
+        infrastructure = self._bucket(None)
+        for key in sorted(infrastructure):
+            out[f"link.{key}"] = float(infrastructure[key])
         for key in sorted(self._adversary):
             out[f"adv.{key}"] = float(self._adversary[key])
         return out

@@ -66,16 +66,19 @@ class EnergyMeter:
         control traffic (ACKs, beacons) so the reported transmission count
         keeps meaning "data-frame sends", comparable to the default model.
         """
-        tx = self.model.tx_energy(size_bytes)
-        rx = self.model.rx_energy(size_bytes)
+        # The products of ``EnergyModel.tx_energy``/``rx_energy``, with one
+        # airtime computation for both.
+        radio = self.model.radio
+        airtime = radio.transmission_time(size_bytes)
+        tx = airtime * radio.tx_power_w
+        rx = airtime * radio.rx_power_w
         self.tx_joules_by_node[sender_id] = (
             self.tx_joules_by_node.get(sender_id, 0.0) + tx
         )
         total = tx
+        rx_joules = self.rx_joules_by_node
         for listener in listener_ids:
-            self.rx_joules_by_node[listener] = (
-                self.rx_joules_by_node.get(listener, 0.0) + rx
-            )
+            rx_joules[listener] = rx_joules.get(listener, 0.0) + rx
             total += rx
         if count_transmission:
             self.transmissions += 1

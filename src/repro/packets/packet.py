@@ -110,7 +110,7 @@ class MulticastPacket:
         remaining = tuple(d for d in self.destinations if d.node_id != node_id)
         if len(remaining) == len(self.destinations):
             return self
-        return dataclasses.replace(self, destinations=remaining)
+        return self._derived(destinations=remaining)
 
     def with_destinations(
         self,
@@ -147,7 +147,19 @@ class MulticastPacket:
 
     def hopped(self) -> "MulticastPacket":
         """Copy with the hop counter incremented (one radio transmission)."""
-        return dataclasses.replace(self, hop_count=self.hop_count + 1)
+        return self._derived(hop_count=self.hop_count + 1)
+
+    def _derived(self, **changes: object) -> "MulticastPacket":
+        """``dataclasses.replace`` without re-running ``__post_init__``.
+
+        Only for changes that keep a valid packet valid: a larger hop count
+        or a subset of the (already duplicate-free) destinations.  Copies
+        taking destinations from protocol code go through ``replace`` and
+        its duplicate check.
+        """
+        clone = object.__new__(self.__class__)
+        clone.__dict__.update(self.__dict__, **changes)
+        return clone
 
     def header_size_bytes(self) -> int:
         """Wire-size estimate of the geographic header.

@@ -9,14 +9,10 @@ energy accounting) live in :mod:`repro.network` and :mod:`repro.engine` on
 top of it.
 """
 
-from repro.simkit.event import Event
-from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator, SimulationError
 from repro.simkit.rng import RandomStreams, derive_seed
 
 __all__ = [
-    "Event",
-    "EventScheduler",
     "Simulator",
     "SimulationError",
     "RandomStreams",

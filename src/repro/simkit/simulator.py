@@ -1,11 +1,18 @@
-"""The simulation executive: a virtual clock driving an event heap."""
+"""The simulation executive: a virtual clock driving an event heap.
+
+Events are ``(time, sequence, action)`` tuples on one binary heap.  The
+insertion-order ``sequence`` breaks ties between simultaneous events, so
+they fire in the order they were scheduled and every run is deterministic;
+because sequence numbers are unique, ordering is decided by comparing
+``(time, sequence)`` alone and never reaches the action.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-from repro.simkit.event import Event
-from repro.simkit.scheduler import EventScheduler
+import itertools
+import math
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -21,7 +28,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._scheduler = EventScheduler()
+        self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
+        self._sequence = itertools.count()
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -33,41 +41,22 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events fired so far."""
+        """Number of events fired by completed :meth:`run` calls."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live (uncancelled) events still queued."""
-        return len(self._scheduler)
-
-    def schedule_at(self, time: float, action: Callable[[], Any], label: str = "") -> Event:
+    def schedule_at(self, time: float, action: Callable[[], Any]) -> None:
         """Schedule ``action`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(
-                f"cannot schedule event {label!r} at {time} (clock is at {self._now})"
+                f"cannot schedule an event at {time} (clock is at {self._now})"
             )
-        return self._scheduler.schedule(time, action, label)
+        heappush(self._heap, (time, next(self._sequence), action))
 
-    def schedule_after(self, delay: float, action: Callable[[], Any], label: str = "") -> Event:
+    def schedule_after(self, delay: float, action: Callable[[], Any]) -> None:
         """Schedule ``action`` after a non-negative ``delay``."""
         if delay < 0.0:
-            raise SimulationError(f"negative delay {delay} for event {label!r}")
-        return self._scheduler.schedule(self._now + delay, action, label)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        self._scheduler.cancel(event)
-
-    def step(self) -> bool:
-        """Fire the next event.  Returns ``False`` when the queue is empty."""
-        event = self._scheduler.pop_next()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_processed += 1
-        event.action()
-        return True
+            raise SimulationError(f"negative delay {delay} at time {self._now}")
+        heappush(self._heap, (self._now + delay, next(self._sequence), action))
 
     def run(
         self,
@@ -88,27 +77,37 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
+        heap = self._heap
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while True:
-                next_time = self._scheduler.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
+            while heap:
+                time, sequence, action = heappop(heap)
+                if time > horizon or fired >= budget:
+                    # Put the event back unfired: the queue keeps it.
+                    heappush(heap, (time, sequence, action))
+                    if time > horizon:
+                        self._now = horizon
+                        break
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a routing loop"
                     )
-                self.step()
+                self._now = time
                 fired += 1
+                action()
         finally:
+            self._events_processed += fired
             self._running = False
         return self._now
 
     def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._scheduler.clear()
+        """Drop all pending events and rewind the clock to zero.
+
+        Sequence numbers restart too, so a reset simulator replays a
+        workload with exactly the tie-breaking of a fresh one.
+        """
+        self._heap.clear()
+        self._sequence = itertools.count()
         self._now = 0.0
         self._events_processed = 0

@@ -89,6 +89,13 @@ class RRStrConfig:
     collocation_tolerance: float = 1e-7
 
 
+def _float_point(point: Point) -> Point:
+    x, y = point
+    if type(x) is float and type(y) is float:
+        return point
+    return Point(float(x), float(y))
+
+
 def rrstr(
     source_location: Point,
     destinations: Sequence[Tuple[int, Point]],
@@ -113,6 +120,12 @@ def rrstr(
     cfg = config or RRStrConfig()
     if radio_range <= 0:
         raise ValueError(f"radio range must be positive, got {radio_range}")
+    # The NumPy kernels return float coordinates where the scalar paths keep
+    # the caller's type, so integer input would make a tree's ``repr``
+    # depend on the size gates.  Coercing at entry rules that out; it is the
+    # identity on float input (every routing caller's).
+    source_location = _float_point(source_location)
+    destinations = [(ref, _float_point(location)) for ref, location in destinations]
     tree = SteinerTree(source_location)
     if not destinations:
         return tree

@@ -1,5 +1,7 @@
 """Tests for the multicast packet model."""
 
+import dataclasses
+
 import pytest
 
 from repro.geometry import Point
@@ -69,6 +71,67 @@ class TestCopies:
         assert packet.hopped().hop_count == 1
         assert packet.hopped().hopped().hop_count == 2
         assert packet.hop_count == 0
+
+
+class TestDerivedCopies:
+    """``hopped``/``without_destination`` skip ``__post_init__`` but must be
+    indistinguishable from the ``dataclasses.replace`` copy they stand for."""
+
+    @staticmethod
+    def packets():
+        state = PerimeterState(
+            target=Point(5.0, 5.0),
+            entry_location=Point(1.0, 2.0),
+            entry_total_distance=9.5,
+        )
+        plain = make_packet((4, 1, 9))
+        return [
+            plain,
+            plain.with_perimeter(plain.destinations[:2], state).hopped(),
+            plain.with_destinations(plain.destinations[1:], plain.destinations[2]),
+        ]
+
+    @staticmethod
+    def assert_same(derived, replaced):
+        assert type(derived) is type(replaced)
+        assert derived == replaced
+        assert hash(derived) == hash(replaced)
+        assert repr(derived) == repr(replaced)
+        assert vars(derived) == vars(replaced)
+        assert list(vars(derived)) == list(vars(replaced))
+
+    def test_hopped_matches_replace(self):
+        for packet in self.packets():
+            self.assert_same(
+                packet.hopped(),
+                dataclasses.replace(packet, hop_count=packet.hop_count + 1),
+            )
+
+    def test_without_destination_matches_replace(self):
+        for packet in self.packets():
+            for dest in packet.destinations:
+                remaining = tuple(d for d in packet.destinations if d != dest)
+                self.assert_same(
+                    packet.without_destination(dest.node_id),
+                    dataclasses.replace(packet, destinations=remaining),
+                )
+
+    def test_derived_copies_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_packet().hopped().hop_count = 5
+
+    def test_protocol_supplied_destinations_still_checked(self):
+        packet = make_packet()
+        twice = (packet.destinations[0], packet.destinations[0])
+        state = PerimeterState(
+            target=Point(0.0, 0.0),
+            entry_location=Point(0.0, 0.0),
+            entry_total_distance=0.0,
+        )
+        with pytest.raises(ValueError, match="duplicate destination"):
+            packet.with_destinations(twice)
+        with pytest.raises(ValueError, match="duplicate destination"):
+            packet.with_perimeter(twice, state)
 
 
 class TestPerimeterState:

@@ -1,100 +1,82 @@
-"""Ordering properties of the binary-heap event scheduler.
+"""Ordering properties of the simulator's event heap.
 
-Events must pop in exact ``(time, sequence)`` order whatever the mix of
-schedules, cancellations and peeks, and a cleared scheduler must replay a
+Events must fire in exact ``(time, sequence)`` order whatever the mix of
+times and self-scheduling callbacks, and a reset simulator must replay a
 workload exactly like a fresh one.
 """
 
 import random
 
-from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator
 
 
 def test_identical_times_pop_in_insertion_order():
-    scheduler = EventScheduler()
-    events = [scheduler.schedule(5.0, lambda: None, f"e{i}") for i in range(50)]
-    scheduler.cancel(events[7])
+    sim = Simulator()
     order = []
-    while True:
-        event = scheduler.pop_next()
-        if event is None:
-            break
-        order.append(event.sequence)
-    assert order == [i for i in range(50) if i != 7]
+    for i in range(50):
+        sim.schedule_at(5.0, lambda i=i: order.append(i))
+    sim.run()
+    assert order == list(range(50))
 
 
 def test_schedule_earlier_than_current_window_is_not_skipped():
-    """Peeking a far event, then scheduling a near one, pops the near one."""
-    scheduler = EventScheduler()
-    scheduler.schedule(1000.0, lambda: None, "far")
-    assert scheduler.peek_time() == 1000.0
-    near = scheduler.schedule(1.0, lambda: None, "near")
-    assert scheduler.peek_time() == 1.0
-    assert scheduler.pop_next() is near
+    """Scheduling a far event, then a near one, fires the near one first."""
+    sim = Simulator()
+    order = []
+    sim.schedule_at(1000.0, lambda: order.append("far"))
+    sim.schedule_at(1.0, lambda: order.append("near"))
+    sim.run()
+    assert order == ["near", "far"]
 
 
 def test_resize_churn_preserves_order():
     """Thousands of random times drain in sorted ``(time, sequence)`` order."""
-    scheduler = EventScheduler()
+    sim = Simulator()
     rng = random.Random(99)
-    times = [rng.uniform(0.0, 50.0) for _ in range(5000)]
-    for t in times:
-        scheduler.schedule(t, lambda: None)
     popped = []
-    while True:
-        event = scheduler.pop_next()
-        if event is None:
-            break
-        popped.append((event.time, event.sequence))
+    for i in range(5000):
+        t = rng.uniform(0.0, 50.0)
+        sim.schedule_at(t, lambda t=t, i=i: popped.append((t, i)))
+    sim.run()
     assert popped == sorted(popped)
     assert len(popped) == 5000
 
 
-def test_len_counts_only_live_events():
-    scheduler = EventScheduler()
-    kept = scheduler.schedule(2.0, lambda: None)
-    dropped = scheduler.schedule(1.0, lambda: None)
-    assert len(scheduler) == 2
-    scheduler.cancel(dropped)
-    scheduler.cancel(dropped)  # double-cancel is a no-op
-    assert len(scheduler) == 1
-    assert scheduler.pop_next() is kept
-    assert len(scheduler) == 0
-    assert scheduler.peek_time() is None
+def test_ties_scheduled_from_callbacks_fire_after_earlier_ties():
+    """An event scheduled *at the current time* from a callback queues
+    behind every event already waiting at that time."""
+    sim = Simulator()
+    order = []
 
+    def first():
+        order.append("first")
+        sim.schedule_after(0.0, lambda: order.append("spawned"))
 
-def test_all_cancelled_leaves_empty_scheduler():
-    scheduler = EventScheduler()
-    events = [scheduler.schedule(float(i), lambda: None) for i in range(64)]
-    for event in events:
-        scheduler.cancel(event)
-    assert len(scheduler) == 0
-    assert scheduler.peek_time() is None
-    assert scheduler.pop_next() is None
+    sim.schedule_at(2.0, first)
+    sim.schedule_at(2.0, lambda: order.append("second"))
+    sim.run()
+    assert order == ["first", "second", "spawned"]
 
 
 class TestClearResetsSequence:
-    """clear() regression: a cleared scheduler replays like a fresh one."""
+    """reset() regression: a reset simulator replays like a fresh one."""
 
     def test_clear_restarts_sequence_numbering(self):
-        def transcript(scheduler):
-            for i in range(20):
-                scheduler.schedule(float(i % 4), lambda: None, f"e{i}")
+        def transcript(simulator):
             out = []
-            while True:
-                event = scheduler.pop_next()
-                if event is None:
-                    return out
-                out.append((event.time, event.sequence, event.label))
+            for i in range(20):
+                simulator.schedule_at(
+                    float(i % 4), lambda i=i: out.append((simulator.now, i))
+                )
+            simulator.run()
+            return out
 
-        scheduler = EventScheduler()
-        first = transcript(scheduler)
-        scheduler.schedule(9.0, lambda: None, "stale")
-        scheduler.clear()
-        assert len(scheduler) == 0
-        replay = transcript(scheduler)
-        assert replay == first == transcript(EventScheduler())
+        simulator = Simulator()
+        first = transcript(simulator)
+        simulator.schedule_at(9.0, lambda: None)
+        simulator.reset()
+        replay = transcript(simulator)
+        assert replay == first == transcript(Simulator())
 
     def test_simulator_reset_replays_identical_event_order(self):
         """Through the executive: reset() + same workload == same order."""
@@ -102,7 +84,7 @@ class TestClearResetsSequence:
         def run(simulator):
             fired = []
             for i in range(10):
-                simulator.schedule_at(0.5, lambda i=i: fired.append(i), f"t{i}")
+                simulator.schedule_at(0.5, lambda i=i: fired.append(i))
             simulator.run()
             return fired
 

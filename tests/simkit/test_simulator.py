@@ -2,48 +2,32 @@
 
 import pytest
 
-from repro.simkit import EventScheduler, SimulationError, Simulator
+from repro.simkit import SimulationError, Simulator
 
 
 class TestEventScheduler:
+    """The simulator's event queue: ``(time, sequence)`` order."""
+
     def test_orders_by_time(self):
-        sched = EventScheduler()
+        sim = Simulator()
         fired = []
-        sched.schedule(2.0, lambda: fired.append("b"))
-        sched.schedule(1.0, lambda: fired.append("a"))
-        sched.schedule(3.0, lambda: fired.append("c"))
-        while (event := sched.pop_next()) is not None:
-            event.action()
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_fifo_for_simultaneous_events(self):
-        sched = EventScheduler()
+        sim = Simulator()
         fired = []
         for tag in ("first", "second", "third"):
-            sched.schedule(5.0, lambda t=tag: fired.append(t))
-        while (event := sched.pop_next()) is not None:
-            event.action()
+            sim.schedule_at(5.0, lambda t=tag: fired.append(t))
+        sim.run()
         assert fired == ["first", "second", "third"]
 
-    def test_cancellation(self):
-        sched = EventScheduler()
-        keep = sched.schedule(1.0, lambda: None, label="keep")
-        drop = sched.schedule(2.0, lambda: None, label="drop")
-        sched.cancel(drop)
-        assert len(sched) == 1
-        assert sched.pop_next() is keep
-        assert sched.pop_next() is None
-
-    def test_peek_skips_cancelled(self):
-        sched = EventScheduler()
-        drop = sched.schedule(1.0, lambda: None)
-        sched.schedule(2.0, lambda: None)
-        sched.cancel(drop)
-        assert sched.peek_time() == 2.0
-
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventScheduler().schedule(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            Simulator().schedule_at(-1.0, lambda: None)
 
 
 class TestSimulator:
@@ -85,10 +69,21 @@ class TestSimulator:
         fired = []
         sim.schedule_at(1.0, lambda: fired.append(1))
         sim.schedule_at(10.0, lambda: fired.append(10))
-        sim.run(until=5.0)
-        assert fired == [1]
-        assert sim.pending_events == 1
+        sim.schedule_at(5.0, lambda: fired.append(5))
+        assert sim.run(until=5.0) == 5.0
+        assert fired == [1, 5]
         assert sim.now == 5.0
+        assert sim.events_processed == 2
+        # The later event stayed queued and fires on the next run.
+        sim.run()
+        assert fired == [1, 5, 10]
+        assert sim.now == 10.0
+
+    def test_run_until_before_first_event_sets_clock(self):
+        sim = Simulator()
+        sim.schedule_at(3.0, lambda: None)
+        assert sim.run(until=2.0) == 2.0
+        assert sim.events_processed == 0
 
     def test_max_events_guard(self):
         sim = Simulator()
@@ -97,8 +92,22 @@ class TestSimulator:
             sim.schedule_after(1.0, rescheduler)
 
         sim.schedule_at(0.0, rescheduler)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="max_events=100"):
             sim.run(max_events=100)
+        assert sim.events_processed == 100
+
+    def test_max_events_allows_exactly_the_budget(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda: None)
+        sim.run(max_events=3)
+        assert sim.events_processed == 3
+
+    def test_run_is_not_reentrant(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: sim.run())
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run()
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -107,21 +116,16 @@ class TestSimulator:
         sim.run()
         assert sim.events_processed == 3
 
-    def test_cancel_scheduled_event(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule_at(1.0, lambda: fired.append("no"))
-        sim.cancel(event)
-        sim.run()
-        assert fired == []
-
     def test_reset(self):
         sim = Simulator()
+        fired = []
         sim.schedule_at(1.0, lambda: None)
         sim.run()
+        sim.schedule_at(9.0, lambda: fired.append("stale"))
         sim.reset()
         assert sim.now == 0.0
-        assert sim.pending_events == 0
+        assert sim.events_processed == 0
         sim.schedule_at(0.5, lambda: None)
         sim.run()
         assert sim.now == 0.5
+        assert fired == []

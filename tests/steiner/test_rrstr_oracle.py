@@ -124,3 +124,28 @@ def test_refine_tree_matches_oracle_on_hand_built_trees():
         assert signature(refine_tree(trees[0], radio_range=150.0)) == signature(
             oracle_refine_tree(trees[1], radio_range=150.0)
         )
+
+
+def test_integer_grid_group_is_gate_independent():
+    """Integer coordinates give the same tree, ``repr`` included, on both
+    sides of the size gates, and with the kernels forced on for every group:
+    rrSTR coerces its input to float at entry."""
+    rng = np.random.default_rng(62)
+    cells = rng.choice(21 * 21, size=63, replace=False)
+    points = [Point(int(c % 21) * 50, int(c // 21) * 50) for c in cells]
+    source, destinations = points[0], list(enumerate(points[1:]))
+    assert len(destinations) == 62 >= rrstr_module.RRSTR_MIN_GROUP
+    for config in CONFIGS:
+        clear_caches()
+        default = signature(rrstr(source, destinations, RADIO_RANGE, config))
+        with scalar_gates():
+            clear_caches()
+            scalar = signature(rrstr(source, destinations, RADIO_RANGE, config))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rrstr_module, "RRSTR_MIN_GROUP", 0)
+            clear_caches()
+            kernels = signature(rrstr(source, destinations, RADIO_RANGE, config))
+        assert default == scalar == kernels
+        assert all(
+            "." in x and "." in y for _, _, x, y, *_ in default
+        ), "every vertex coordinate is a float"
