@@ -14,13 +14,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.experiments.config import PaperConfig, scale_by_name
+from repro.experiments.config import FIGURE_PRESETS, PaperConfig, preset
 from repro.experiments.figures import (
     FigureResult,
     figure11,
@@ -33,18 +34,8 @@ from repro.experiments.report import render_figure_table, render_ratio_summary
 from repro.perf.counters import GLOBAL_COUNTERS, StageTimer
 from repro.sessions.store import CheckpointError
 
-_FIGURE_COMMANDS = (
-    "config",
-    "figure11",
-    "figure12",
-    "figure14",
-    "figure15",
-    "all",
-    "figures",  # alias of "all"
-    "ablations",
-    "robustness",
-    "contention",
-)
+ProgressFn = Callable[[str], None]
+Args = argparse.Namespace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,9 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "byte-identical either way — this is the A/B switch)"
         ),
     )
-    for name in _FIGURE_COMMANDS:
+    for name in ("config", *_FAMILIES):
         subparsers.add_parser(
-            name, parents=[experiment_options], help=f"regenerate {name}"
+            name,
+            parents=[experiment_options],
+            help=_HELP.get(name, f"regenerate {name}"),
         )
     subparsers.choices["robustness"].add_argument(
         "--adversary",
@@ -107,24 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(dropper/spoofer/suppressor behaviors)"
         ),
     )
-
-    subparsers.add_parser(
-        "scale",
-        parents=[experiment_options],
-        help=(
-            "large-scale constant-density sweep (presets: smoke/quick/paper "
-            "at 2k-10k nodes, smoke50k at 50k, deep at 50k+100k)"
-        ),
-    )
-
-    sessions = subparsers.add_parser(
-        "sessions",
-        parents=[experiment_options],
-        help=(
-            "streaming-session throughput sweep (presets: smoke/quick/paper; "
-            "arrival-process workloads folded into bounded-memory sketches)"
-        ),
-    )
+    sessions = subparsers.choices["sessions"]
     sessions.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -233,7 +209,7 @@ def _make_config(args: argparse.Namespace) -> PaperConfig:
 def _write_json(
     path: str,
     figures_payload: Dict,
-    scale_name: str,
+    scale_name: Optional[str],
     master_seed: int,
     progress,
 ) -> None:
@@ -290,6 +266,214 @@ def _report_peak_rss(progress) -> None:
     progress(_format_peak_rss(peak_self, peak_child, shared_mib))
 
 
+def _progress_printer(quiet: bool) -> ProgressFn:
+    """Operator progress on stderr, time-stamped; a no-op under ``--quiet``."""
+    if quiet:
+        return lambda msg: None
+    # Operator-facing progress stamp, not simulation state.
+    return lambda msg: print(
+        f"  [{time.strftime('%H:%M:%S')}] {msg}",  # reprolint: disable=R002
+        file=sys.stderr,
+    )
+
+
+class _Outcome(NamedTuple):
+    """What one experiment family hands the shared tail of ``_dispatch``."""
+
+    #: Preset name recorded in the ``--json`` provenance (None: no preset).
+    preset_name: Optional[str]
+    #: Stdout blocks, one ``print`` each.
+    blocks: List[str]
+    #: The ``--json`` payload.
+    payload: Dict[str, object]
+    #: Printed as ``digest: ...`` after the blocks, when the family has one.
+    digest: Optional[str] = None
+
+
+def _figure_outcome(
+    preset_name: str, figures: Sequence[FigureResult], precision: int = 2
+) -> _Outcome:
+    """One table block per figure (Figures 11 and 14 add GMP's savings)."""
+    blocks = []
+    for fig in figures:
+        block = render_figure_table(fig, precision=precision)
+        if fig.figure_id in ("figure11", "figure14"):
+            block += "\n" + render_ratio_summary(
+                fig, "GMP", ["PBM", "LGS", "SMT", "GMPnr"]
+            )
+        blocks.append(block + "\n")
+    payload: Dict[str, object] = {fig.figure_id: fig.to_json_dict() for fig in figures}
+    return _Outcome(preset_name, blocks, payload)
+
+
+def _run_figures(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    scale = preset(FIGURE_PRESETS, args.scale)
+    if args.command in ("all", "figures"):
+        wanted = ("figure11", "figure12", "figure14", "figure15")
+    else:
+        wanted = (args.command,)
+    # Operator-layer wall clock, injected by reference: library code never
+    # reads the clock itself (reprolint R002), it only ticks what it is given.
+    wall_clock = time.perf_counter
+    figures: List[FigureResult] = []
+    from_sweep = {"figure11": figure11, "figure12": figure12, "figure14": figure14}
+    if any(name in from_sweep for name in wanted):
+        progress(f"running group-size sweep at scale {scale.name!r} ...")
+        with StageTimer("group-size-sweep", clock=wall_clock):
+            sweep = run_group_size_sweep(
+                config, scale, progress=progress, workers=args.workers
+            )
+        figures += [make(sweep) for name, make in from_sweep.items() if name in wanted]
+    if "figure15" in wanted:
+        progress("running density sweep for figure 15 ...")
+        with StageTimer("density-sweep", clock=wall_clock):
+            figures.append(
+                figure15(config, scale, progress=progress, workers=args.workers)
+            )
+    return _figure_outcome(scale.name, figures)
+
+
+def _run_robustness(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    from repro.experiments.robustness import (
+        ROBUSTNESS_PRESETS,
+        adversary_sweep,
+        link_loss_sweep,
+        node_failure_sweep,
+    )
+
+    scale = preset(ROBUSTNESS_PRESETS, args.scale)
+    if args.nodes is None:
+        # Robustness sweeps default to a smaller deployment than Table 1.
+        config = dataclasses.replace(config, node_count=400)
+    progress(f"running robustness sweeps at scale {scale.name!r} ...")
+    figures = [
+        *link_loss_sweep(config, scale, progress, args.workers),
+        node_failure_sweep(config, scale, progress, args.workers),
+    ]
+    if args.adversary:
+        progress("running adversary sweeps ...")
+        figures += adversary_sweep(
+            config, scale, progress=progress, workers=args.workers
+        )
+    return _figure_outcome(scale.name, figures, precision=3)
+
+
+def _run_contention(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    from repro.experiments.contention import (
+        CONTENTION_PRESETS,
+        arq_ablation,
+        contention_sweep,
+    )
+
+    scale = preset(CONTENTION_PRESETS, args.scale)
+    if args.nodes is not None:
+        # Contended runs size the deployment from their preset, not from
+        # Table 1 — --nodes overrides the preset.
+        scale = dataclasses.replace(scale, node_count=args.nodes)
+    progress(f"running contention sweeps at scale {scale.name!r} ...")
+    figures = list(contention_sweep(config, scale, progress, args.workers).values())
+    progress("running ARQ ablation ...")
+    figures.append(arq_ablation(config, scale, progress, args.workers))
+    return _figure_outcome(scale.name, figures, precision=3)
+
+
+def _run_scale(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    from repro.experiments.scale import SCALE_PRESETS, render_scale_table, run_scale_sweep
+
+    scale = preset(SCALE_PRESETS, args.scale)
+    if args.nodes is not None:
+        scale = dataclasses.replace(scale, node_counts=(args.nodes,))
+    progress(f"running large-scale sweep at preset {scale.name!r} ...")
+    with StageTimer("scale-sweep", clock=time.perf_counter):
+        sweep = run_scale_sweep(config, scale, workers=args.workers, progress=progress)
+    return _Outcome(
+        scale.name,
+        [render_scale_table(sweep)],
+        {"scale-sweep": sweep.to_json_dict()},
+        sweep.digest(),
+    )
+
+
+def _run_sessions(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    from repro.experiments.sessions import (
+        SESSION_PRESETS,
+        render_sessions_table,
+        run_sessions_sweep,
+    )
+
+    scale = preset(SESSION_PRESETS, args.scale)
+    if args.nodes is not None:
+        scale = dataclasses.replace(scale, node_counts=(args.nodes,))
+    progress(f"running streaming-session sweep at preset {scale.name!r} ...")
+    with StageTimer("sessions-sweep", clock=time.perf_counter):
+        sweep = run_sessions_sweep(
+            config,
+            scale,
+            workers=args.workers,
+            progress=progress,
+            checkpoint_dir=args.checkpoint_dir,
+            stop_after=args.stop_after,
+        )
+    elapsed = GLOBAL_COUNTERS.stage_seconds("sessions-sweep")
+    if elapsed > 0.0 and sweep.completed_sessions:
+        progress(
+            f"throughput: {sweep.completed_sessions / elapsed:.2f} "
+            f"sessions/s over {elapsed:.1f}s"
+        )
+    return _Outcome(
+        scale.name,
+        [render_sessions_table(sweep)],
+        {"sessions-sweep": sweep.to_json_dict()},
+        sweep.digest(),
+    )
+
+
+def _run_ablations(args: Args, config: PaperConfig, progress: ProgressFn) -> _Outcome:
+    from repro.experiments.ablations import render_ablations, run_all_ablations
+
+    if args.workers > 1:
+        raise ValueError("ablations run serially; --workers must be 1")
+    if args.nodes is None:
+        # Ablations default to a smaller deployment than Table 1.
+        config = dataclasses.replace(config, node_count=400)
+    progress("running ablations ...")
+    outcomes = run_all_ablations(config)
+    return _Outcome(
+        None,
+        [render_ablations(outcomes)],
+        {"ablations": [dataclasses.asdict(outcome) for outcome in outcomes]},
+    )
+
+
+#: Every experiment command and its runner.  ``config``, ``fuzz`` and
+#: ``lint`` are not experiment families; :func:`_dispatch` keeps their
+#: own branches.
+_FAMILIES: Dict[str, Callable[[Args, PaperConfig, ProgressFn], _Outcome]] = {
+    "figure11": _run_figures,
+    "figure12": _run_figures,
+    "figure14": _run_figures,
+    "figure15": _run_figures,
+    "all": _run_figures,
+    "figures": _run_figures,  # alias of "all"
+    "ablations": _run_ablations,
+    "robustness": _run_robustness,
+    "contention": _run_contention,
+    "scale": _run_scale,
+    "sessions": _run_sessions,
+}
+
+_HELP = {
+    "scale": (
+        "large-scale constant-density sweep (presets: smoke/quick/paper "
+        "at 2k-10k nodes, smoke50k at 50k, deep at 50k+100k)"
+    ),
+    "sessions": (
+        "streaming-session throughput sweep (presets: smoke/quick/paper; "
+        "arrival-process workloads folded into bounded-memory sketches)"
+    ),
+}
+
+
 def _run_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         analyze_paths,
@@ -335,13 +519,7 @@ def _run_lint(args: argparse.Namespace) -> int:
 def _run_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import render_fuzz_table, run_fuzz_campaign, write_fixtures
 
-    progress = (lambda msg: None) if args.quiet else (
-        # Operator-facing progress stamp, not simulation state.
-        lambda msg: print(
-            f"  [{time.strftime('%H:%M:%S')}] {msg}",  # reprolint: disable=R002
-            file=sys.stderr,
-        )
-    )
+    progress = _progress_printer(args.quiet)
     store = run_fuzz_campaign(
         args.seed,
         args.budget,
@@ -379,244 +557,32 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fuzz":
         return _run_fuzz(args)
 
-    if getattr(args, "no_shared_plane", False):
+    if args.no_shared_plane:
         from repro.perf.shm import set_shared_plane_enabled
 
         set_shared_plane_enabled(False)
 
     config = _make_config(args)
-    progress = (lambda msg: None) if args.quiet else (
-        # Operator-facing progress stamp, not simulation state.
-        lambda msg: print(
-            f"  [{time.strftime('%H:%M:%S')}] {msg}",  # reprolint: disable=R002
-            file=sys.stderr,
-        )
-    )
+    progress = _progress_printer(args.quiet)
 
     if args.command == "config":
         print("Table 1. Simulation setup")
         print(config.describe())
         return 0
 
-    if args.command == "robustness":
-        from repro.experiments.robustness import (
-            adversary_sweep,
-            link_loss_sweep,
-            node_failure_sweep,
-            robustness_scale_by_name,
-        )
-
-        robust_scale = robustness_scale_by_name(args.scale)
-        progress(f"running robustness sweeps at scale {robust_scale.name!r} ...")
-        robust_config = _make_config(args)
-        if args.nodes is None:
-            robust_config = PaperConfig(
-                node_count=400, master_seed=robust_config.master_seed
-            )
-        delivery, energy = link_loss_sweep(robust_config, scale=robust_scale)
-        crash = node_failure_sweep(robust_config, scale=robust_scale)
-        robustness_figures = (delivery, energy, crash)
-        if args.adversary:
-            progress("running adversary sweeps ...")
-            robustness_figures += adversary_sweep(
-                robust_config, scale=robust_scale
-            )
-        for fig in robustness_figures:
-            print(render_figure_table(fig, precision=3))
-            print()
-        if args.json_path:
-            _write_json(
-                args.json_path,
-                {fig.figure_id: fig.to_json_dict() for fig in robustness_figures},
-                robust_scale.name,
-                robust_config.master_seed,
-                progress,
-            )
-        if args.perf:
-            print(GLOBAL_COUNTERS.render(), file=sys.stderr)
-        return 0
-
-    if args.command == "contention":
-        from repro.experiments.contention import (
-            arq_ablation,
-            contention_scale_by_name,
-            contention_sweep,
-        )
-
-        contention_scale = contention_scale_by_name(args.scale)
-        if args.nodes is not None:
-            # Contended runs size the deployment from their scale preset,
-            # not from Table 1 — --nodes overrides the preset.
-            import dataclasses
-
-            contention_scale = dataclasses.replace(
-                contention_scale, node_count=args.nodes
-            )
-        progress(
-            f"running contention sweeps at scale {contention_scale.name!r} ..."
-        )
-        contention_figures = contention_sweep(
-            config,
-            scale=contention_scale,
-            progress=progress,
-            workers=args.workers,
-        )
-        progress("running ARQ ablation ...")
-        contention_figures["contention-arq"] = arq_ablation(
-            config,
-            scale=contention_scale,
-            progress=progress,
-            workers=args.workers,
-        )
-        for fig in contention_figures.values():
-            print(render_figure_table(fig, precision=3))
-            print()
-        if args.json_path:
-            _write_json(
-                args.json_path,
-                {name: fig.to_json_dict() for name, fig in contention_figures.items()},
-                contention_scale.name,
-                config.master_seed,
-                progress,
-            )
-        if args.perf:
-            print(GLOBAL_COUNTERS.render(), file=sys.stderr)
-        return 0
-
-    if args.command == "scale":
-        import dataclasses
-
-        from repro.experiments.scale import (
-            render_scale_table,
-            run_scale_sweep,
-            scale_sweep_scale_by_name,
-        )
-
-        sweep_scale = scale_sweep_scale_by_name(args.scale)
-        if args.nodes is not None:
-            sweep_scale = dataclasses.replace(
-                sweep_scale, node_counts=(args.nodes,)
-            )
-        progress(f"running large-scale sweep at preset {sweep_scale.name!r} ...")
-        with StageTimer("scale-sweep", clock=time.perf_counter):
-            sweep = run_scale_sweep(
-                config, sweep_scale, workers=args.workers, progress=progress
-            )
-        print(render_scale_table(sweep))
-        print(f"digest: {sweep.digest()}")
-        _report_peak_rss(progress)
-        if args.json_path:
-            _write_json(
-                args.json_path,
-                {"scale-sweep": sweep.to_json_dict()},
-                sweep_scale.name,
-                config.master_seed,
-                progress,
-            )
-        if args.perf:
-            print(GLOBAL_COUNTERS.render(), file=sys.stderr)
-        return 0
-
-    if args.command == "sessions":
-        import dataclasses
-
-        from repro.experiments.sessions import (
-            render_sessions_table,
-            run_sessions_sweep,
-            session_scale_by_name,
-        )
-
-        sessions_scale = session_scale_by_name(args.scale)
-        if args.nodes is not None:
-            sessions_scale = dataclasses.replace(
-                sessions_scale, node_counts=(args.nodes,)
-            )
-        progress(
-            f"running streaming-session sweep at preset {sessions_scale.name!r} ..."
-        )
-        with StageTimer("sessions-sweep", clock=time.perf_counter):
-            sessions_sweep = run_sessions_sweep(
-                config,
-                sessions_scale,
-                workers=args.workers,
-                progress=progress,
-                checkpoint_dir=args.checkpoint_dir,
-                stop_after=args.stop_after,
-            )
-        # Deterministic results on stdout (CI byte-diffs them); wall-clock
-        # throughput and memory telemetry on stderr only.
-        print(render_sessions_table(sessions_sweep))
-        print(f"digest: {sessions_sweep.digest()}")
-        elapsed = GLOBAL_COUNTERS.stage_seconds("sessions-sweep")
-        if elapsed > 0.0 and sessions_sweep.completed_sessions:
-            progress(
-                f"throughput: {sessions_sweep.completed_sessions / elapsed:.2f} "
-                f"sessions/s over {elapsed:.1f}s"
-            )
-        _report_peak_rss(progress)
-        if args.json_path:
-            _write_json(
-                args.json_path,
-                {"sessions-sweep": sessions_sweep.to_json_dict()},
-                sessions_scale.name,
-                config.master_seed,
-                progress,
-            )
-        if args.perf:
-            print(GLOBAL_COUNTERS.render(), file=sys.stderr)
-        return 0
-
-    if args.command == "ablations":
-        from repro.experiments.ablations import render_ablations, run_all_ablations
-
-        progress("running ablations ...")
-        ablation_config = _make_config(args)
-        if args.nodes is None:
-            # Ablations default to a smaller deployment than Table 1.
-            ablation_config = PaperConfig(
-                node_count=400, master_seed=ablation_config.master_seed
-            )
-        print(render_ablations(run_all_ablations(ablation_config)))
-        return 0
-
-    scale = scale_by_name(args.scale)
-    figures: Dict[str, FigureResult] = {}
-    all_figures = args.command in ("all", "figures")
-    # Operator-layer wall clock, injected by reference: library code never
-    # reads the clock itself (reprolint R002), it only ticks what it is given.
-    wall_clock = time.perf_counter
-
-    needs_sweep = args.command in ("figure11", "figure12", "figure14") or all_figures
-    if needs_sweep:
-        progress(f"running group-size sweep at scale {scale.name!r} ...")
-        with StageTimer("group-size-sweep", clock=wall_clock):
-            sweep = run_group_size_sweep(
-                config, scale, progress=progress, workers=args.workers
-            )
-        if args.command == "figure11" or all_figures:
-            figures["figure11"] = figure11(sweep)
-        if args.command == "figure12" or all_figures:
-            figures["figure12"] = figure12(sweep)
-        if args.command == "figure14" or all_figures:
-            figures["figure14"] = figure14(sweep)
-    if args.command == "figure15" or all_figures:
-        progress("running density sweep for figure 15 ...")
-        with StageTimer("density-sweep", clock=wall_clock):
-            figures["figure15"] = figure15(
-                config, scale, progress=progress, workers=args.workers
-            )
-
-    for fig in figures.values():
-        print(render_figure_table(fig))
-        if fig.figure_id in ("figure11", "figure14"):
-            print(render_ratio_summary(fig, "GMP", ["PBM", "LGS", "SMT", "GMPnr"]))
-        print()
-
+    outcome = _FAMILIES[args.command](args, config, progress)
+    # Deterministic results on stdout (CI byte-diffs them); memory, perf
+    # and file telemetry on stderr only.
+    for block in outcome.blocks:
+        print(block)
+    if outcome.digest is not None:
+        print(f"digest: {outcome.digest}")
+    _report_peak_rss(progress)
     if args.json_path:
         _write_json(
             args.json_path,
-            {name: fig.to_json_dict() for name, fig in figures.items()},
-            scale.name,
+            outcome.payload,
+            outcome.preset_name,
             config.master_seed,
             progress,
         )

@@ -12,7 +12,7 @@ from repro.experiments.config import (
     QUICK_SCALE,
     SMOKE_SCALE,
     PaperConfig,
-    scale_by_name,
+    preset,
 )
 from repro.sessions.workload import MulticastTask, generate_tasks
 from repro.experiments.sweep import (
@@ -48,12 +48,10 @@ from repro.experiments.robustness import (
     RobustnessScale,
     link_loss_sweep,
     node_failure_sweep,
-    robustness_scale_by_name,
 )
 from repro.experiments.contention import (
     ContentionScale,
     arq_ablation,
-    contention_scale_by_name,
     contention_sweep,
 )
 from repro.experiments.statistics import (
@@ -70,7 +68,7 @@ __all__ = [
     "PAPER_SCALE",
     "QUICK_SCALE",
     "SMOKE_SCALE",
-    "scale_by_name",
+    "preset",
     "MulticastTask",
     "generate_tasks",
     "make_network",
@@ -95,9 +93,7 @@ __all__ = [
     "RobustnessScale",
     "link_loss_sweep",
     "node_failure_sweep",
-    "robustness_scale_by_name",
     "ContentionScale",
-    "contention_scale_by_name",
     "contention_sweep",
     "arq_ablation",
     "MeanCI",

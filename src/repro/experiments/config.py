@@ -1,4 +1,4 @@
-"""Simulation setup (paper Table 1) and sweep scales.
+"""Simulation setup (paper Table 1), sweep scales and the preset lookup.
 
 ``PaperConfig`` defaults reproduce Table 1 exactly; ``ExperimentScale``
 separates the *statistical* scale (how many networks/tasks/k-values) so the
@@ -9,7 +9,7 @@ same harness can run a minutes-long quick pass or the paper's full
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Mapping, Tuple, TypeVar
 
 from repro.network.radio import RadioConfig
 
@@ -92,14 +92,21 @@ SMOKE_SCALE = ExperimentScale(
     density_node_counts=(160, 300),
 )
 
-_SCALES = {s.name: s for s in (PAPER_SCALE, QUICK_SCALE, SMOKE_SCALE)}
+#: Figure presets by name (see :func:`preset`).
+FIGURE_PRESETS = {s.name: s for s in (PAPER_SCALE, QUICK_SCALE, SMOKE_SCALE)}
+
+T = TypeVar("T")
 
 
-def scale_by_name(name: str) -> ExperimentScale:
-    """Look up a sweep scale (``paper`` / ``quick`` / ``smoke``)."""
+def preset(table: Mapping[str, T], name: str) -> T:
+    """Look up preset ``name`` in one family's preset table.
+
+    Every experiment family keeps its presets in a name-keyed dict; this is
+    the one lookup over them.  Raises ``ValueError`` on unknown names.
+    """
     try:
-        return _SCALES[name]
+        return table[name]
     except KeyError:
         raise ValueError(
-            f"unknown scale {name!r}; choose from {sorted(_SCALES)}"
+            f"unknown preset {name!r}; choose from {sorted(table)}"
         ) from None

@@ -14,7 +14,7 @@ fight for the air.  Two questions are measured:
   loss with retransmission on and off, at fixed concurrency.
 
 Everything is sharded into pure work units and executed through
-:func:`repro.perf.parallel.run_units`, so results are bit-identical for any
+:func:`repro.experiments.sweep.run_cells`, so results are bit-identical for any
 worker count: tasks, arrival times, MAC backoff and loss coins all re-derive
 from the master seed inside the executing process.
 """
@@ -27,14 +27,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.engine import EngineConfig, TaskResult, run_contended_tasks, summarize_results
 from repro.experiments.config import PaperConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.sweep import ProtocolSpec, build_protocol, cached_network
+from repro.experiments.sweep import (
+    ProtocolSpec,
+    build_protocol,
+    cached_network,
+    counted_unit,
+    network_means,
+    run_cells,
+)
 from repro.linklayer import LinkLayerConfig
-from repro.perf.counters import GLOBAL_COUNTERS, merge_worker_perf
-from repro.perf.parallel import run_units
 from repro.sessions.arrivals import exponential_starts
 from repro.sessions.workload import generate_tasks
-from repro.routing.base import RoutingProtocol
-from repro.routing.flooding import FloodingProtocol
 from repro.simkit.rng import RandomStreams
 
 ProgressFn = Callable[[str], None]
@@ -46,13 +49,6 @@ CONTENTION_SPECS: Tuple[ProtocolSpec, ...] = (
     ("GRD",),
     ("FLOOD",),
 )
-
-
-def contention_protocol(spec: ProtocolSpec) -> RoutingProtocol:
-    """Like :func:`~repro.experiments.sweep.build_protocol`, plus FLOOD."""
-    if spec == ("FLOOD",):
-        return FloodingProtocol()
-    return build_protocol(spec)
 
 
 @dataclass(frozen=True)
@@ -109,24 +105,11 @@ PAPER_CONTENTION_SCALE = ContentionScale(
 )
 
 
-def contention_scale_by_name(name: str) -> ContentionScale:
-    """Resolve a scale preset; raises ``ValueError`` on unknown names."""
-    scales = {
-        "smoke": SMOKE_CONTENTION_SCALE,
-        "quick": QUICK_CONTENTION_SCALE,
-        "paper": PAPER_CONTENTION_SCALE,
-    }
-    try:
-        return scales[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown contention scale {name!r} (expected one of "
-            f"{sorted(scales)})"
-        ) from None
-
-
-#: One unit's payload: session results plus the perf-counter delta.
-UnitOutput = Tuple[List[TaskResult], Dict[str, float]]
+#: Contention presets by name (see :func:`repro.experiments.config.preset`).
+CONTENTION_PRESETS: Dict[str, ContentionScale] = {
+    s.name: s
+    for s in (SMOKE_CONTENTION_SCALE, QUICK_CONTENTION_SCALE, PAPER_CONTENTION_SCALE)
+}
 
 
 def _session_specs_and_starts(
@@ -158,6 +141,7 @@ def _session_specs_and_starts(
     return [t.as_session_tuple() for t in tasks], starts
 
 
+@counted_unit
 def run_contention_unit(
     config: PaperConfig,
     scale: ContentionScale,
@@ -166,7 +150,7 @@ def run_contention_unit(
     session_count: int,
     interarrival_s: float,
     spec: ProtocolSpec,
-) -> UnitOutput:
+) -> List[TaskResult]:
     """One (network, concurrency, load, protocol) unit of the sweep.
 
     Pure in its picklable arguments — the deployment, the sessions, their
@@ -178,15 +162,13 @@ def run_contention_unit(
     sessions, starts = _session_specs_and_starts(
         config, scale, net_index, session_count, interarrival_s
     )
-    before = GLOBAL_COUNTERS.snapshot()
-    results = run_contended_tasks(
+    return run_contended_tasks(
         network,
         sessions,
-        lambda: contention_protocol(spec),
+        lambda: build_protocol(spec),
         config=engine,
         start_times=starts,
     )
-    return results, GLOBAL_COUNTERS.delta_since(before)
 
 
 def _contended_engine(
@@ -221,83 +203,50 @@ def contention_sweep(
     cfg = config or PaperConfig()
     scl = scale or QUICK_CONTENTION_SCALE
     engine = _contended_engine(cfg)
+    nets = scl.network_count
     cells = [
         (net_index, sessions, interarrival)
         for interarrival in scl.interarrival_s
         for sessions in scl.session_counts
-        for net_index in range(scl.network_count)
+        for net_index in range(nets)
     ]
-    units = [
-        (cfg, scl, engine, net_index, sessions, interarrival, spec)
-        for net_index, sessions, interarrival in cells
-        for spec in CONTENTION_SPECS
-    ]
-
-    finished = 0
-
-    def cell_progress(_unit_message: str) -> None:
-        nonlocal finished
-        finished += 1
-        if progress is not None and finished % len(CONTENTION_SPECS) == 0:
-            net_index, sessions, interarrival = cells[
-                finished // len(CONTENTION_SPECS) - 1
-            ]
-            progress(
-                f"load {interarrival}s: {sessions} sessions, "
-                f"network {net_index + 1}/{scl.network_count} done"
-            )
-
-    outputs = run_units(
+    per_cell = run_cells(
         run_contention_unit,
-        units,
+        cells,
+        CONTENTION_SPECS,
+        lambda cell, spec: (cfg, scl, engine, *cell, spec),
         workers=workers,
-        progress=None if progress is None else cell_progress,
+        progress=progress,
+        describe=lambda cell: (
+            f"load {cell[2]}s: {cell[1]} sessions, network {cell[0] + 1}/{nets}"
+        ),
     )
-    merge_worker_perf(
-        (delta for _, delta in outputs),
-        used_pool=workers > 1 and len(units) > 1,
-    )
-
-    def series_label(spec: ProtocolSpec, interarrival: float) -> str:
-        base = str(spec[0])
-        if len(scl.interarrival_s) == 1:
-            return base
-        return f"{base} ia={interarrival:g}s"
+    summaries = [[summarize_results(results) for results in cell] for cell in per_cell]
 
     delivery: Dict[str, List[Tuple[float, float]]] = {}
     latency: Dict[str, List[Tuple[float, float]]] = {}
     energy: Dict[str, List[Tuple[float, float]]] = {}
-    index = 0
-    accumulators: Dict[str, List[float]] = {}
-    for net_index, sessions, interarrival in cells:
-        if net_index == 0:
-            accumulators = {
-                series_label(spec, interarrival): [0.0, 0.0, 0.0]
-                for spec in CONTENTION_SPECS
-            }
-        for spec, (results, _) in zip(
-            CONTENTION_SPECS, outputs[index : index + len(CONTENTION_SPECS)]
-        ):
-            summary = summarize_results(results)
-            label = series_label(spec, interarrival)
-            accumulators[label][0] += summary.delivery_ratio
-            accumulators[label][1] += summary.mean_duration_s
-            accumulators[label][2] += summary.mean_energy_joules
-        index += len(CONTENTION_SPECS)
-        if net_index == scl.network_count - 1:
-            for spec in CONTENTION_SPECS:
-                label = series_label(spec, interarrival)
-                sums = accumulators[label]
-                x = float(sessions)
-                delivery.setdefault(label, []).append(
-                    (x, sums[0] / scl.network_count)
-                )
-                latency.setdefault(label, []).append(
-                    (x, 1000.0 * sums[1] / scl.network_count)
-                )
-                energy.setdefault(label, []).append(
-                    (x, sums[2] / scl.network_count)
-                )
+    xs = [float(sessions) for sessions in scl.session_counts]
+    per_load = len(scl.session_counts) * nets
+    for load, interarrival in enumerate(scl.interarrival_s):
+        labels = [
+            str(spec[0])
+            if len(scl.interarrival_s) == 1
+            else f"{spec[0]} ia={interarrival:g}s"
+            for spec in CONTENTION_SPECS
+        ]
+        block = summaries[load * per_load : (load + 1) * per_load]
+        delivery.update(
+            network_means(labels, xs, block, nets, lambda s: s.delivery_ratio)
+        )
+        latency.update(
+            network_means(
+                labels, xs, block, nets, lambda s: s.mean_duration_s, factor=1000.0
+            )
+        )
+        energy.update(
+            network_means(labels, xs, block, nets, lambda s: s.mean_energy_joules)
+        )
     return {
         "contention-delivery": FigureResult(
             figure_id="contention-delivery",
@@ -342,61 +291,36 @@ def arq_ablation(
         ("GMP no-ARQ", LinkLayerConfig(arq=False)),
     )
     interarrival = scl.interarrival_s[0]
+    nets = scl.network_count
     cells = [
         (loss, net_index)
         for loss in scl.ablation_loss_rates
-        for net_index in range(scl.network_count)
+        for net_index in range(nets)
     ]
-    units = [
-        (
+    per_cell = run_cells(
+        run_contention_unit,
+        cells,
+        arms,
+        lambda cell, arm: (
             cfg,
             scl,
-            _contended_engine(cfg, loss_rate=loss, link=link),
-            net_index,
+            _contended_engine(cfg, loss_rate=cell[0], link=arm[1]),
+            cell[1],
             scl.ablation_sessions,
             interarrival,
             ("GMP",),
-        )
-        for loss, net_index in cells
-        for _, link in arms
-    ]
-
-    finished = 0
-
-    def cell_progress(_unit_message: str) -> None:
-        nonlocal finished
-        finished += 1
-        if progress is not None and finished % len(arms) == 0:
-            loss, net_index = cells[finished // len(arms) - 1]
-            progress(
-                f"loss {loss}: network {net_index + 1}/{scl.network_count} done"
-            )
-
-    outputs = run_units(
-        run_contention_unit,
-        units,
+        ),
         workers=workers,
-        progress=None if progress is None else cell_progress,
+        progress=progress,
+        describe=lambda cell: f"loss {cell[0]}: network {cell[1] + 1}/{nets}",
     )
-    merge_worker_perf(
-        (delta for _, delta in outputs),
-        used_pool=workers > 1 and len(units) > 1,
+    series = network_means(
+        [name for name, _ in arms],
+        scl.ablation_loss_rates,
+        per_cell,
+        nets,
+        lambda results: summarize_results(results).delivery_ratio,
     )
-
-    series: Dict[str, List[Tuple[float, float]]] = {name: [] for name, _ in arms}
-    index = 0
-    sums: Dict[str, float] = {}
-    for loss, net_index in cells:
-        if net_index == 0:
-            sums = {name: 0.0 for name, _ in arms}
-        for (name, _), (results, _) in zip(
-            arms, outputs[index : index + len(arms)]
-        ):
-            sums[name] += summarize_results(results).delivery_ratio
-        index += len(arms)
-        if net_index == scl.network_count - 1:
-            for name, _ in arms:
-                series[name].append((loss, sums[name] / scl.network_count))
     return FigureResult(
         figure_id="contention-arq",
         title="ARQ under injected link loss (GMP)",

@@ -22,12 +22,13 @@ from repro.experiments.sweep import (
     ProtocolSpec,
     build_protocol,
     cached_network,
+    counted_unit,
+    network_means,
+    run_cells,
     run_tasks,
     select_best_lambda,
 )
 from repro.sessions.workload import MulticastTask, generate_tasks
-from repro.perf.counters import GLOBAL_COUNTERS, merge_worker_perf
-from repro.perf.parallel import run_units
 from repro.simkit.rng import RandomStreams
 
 ProgressFn = Callable[[str], None]
@@ -111,12 +112,6 @@ def _default_engine_config(config: PaperConfig) -> EngineConfig:
     return EngineConfig(max_path_length=config.max_path_length)
 
 
-#: One work unit's payload: the task batch plus the perf-counter delta the
-#: unit accumulated while computing it (merged back by the parent when the
-#: unit ran in a worker process).
-UnitOutput = Tuple[List[TaskResult], Dict[str, float]]
-
-
 def _sweep_specs(scale: ExperimentScale, include_grd: bool) -> List[ProtocolSpec]:
     """Canonical per-cell protocol spec order for the shared k-sweep."""
     specs: List[ProtocolSpec] = [
@@ -146,6 +141,7 @@ def _sweep_tasks(
     )
 
 
+@counted_unit
 def run_sweep_unit(
     config: PaperConfig,
     scale: ExperimentScale,
@@ -153,7 +149,7 @@ def run_sweep_unit(
     net_index: int,
     group_size: int,
     spec: ProtocolSpec,
-) -> UnitOutput:
+) -> List[TaskResult]:
     """One (network, k, protocol) unit of the shared sweep.
 
     A pure function of its (picklable) arguments: the network and task batch
@@ -162,9 +158,7 @@ def run_sweep_unit(
     """
     network = cached_network(config, net_index)
     tasks = _sweep_tasks(config, scale, net_index, group_size)
-    before = GLOBAL_COUNTERS.snapshot()
-    batch = run_tasks(network, build_protocol(spec), tasks, engine)
-    return batch, GLOBAL_COUNTERS.delta_since(before)
+    return run_tasks(network, build_protocol(spec), tasks, engine)
 
 
 def run_group_size_sweep(
@@ -182,13 +176,14 @@ def run_group_size_sweep(
     paper's per-task best-lambda selection.
 
     The work is sharded one unit per (network, k, protocol-or-lambda) and
-    executed through :func:`repro.perf.parallel.run_units` — the same code
-    path whether serial or parallel.  ``workers > 1`` distributes units over
-    a process pool; the aggregated result is bit-identical to ``workers=1``
-    because every unit is deterministic in its arguments, units are merged
-    in canonical cell order, and PBM's per-task best-lambda selection runs
-    at merge time via :func:`~repro.experiments.sweep.select_best_lambda`
-    exactly as in the serial path.
+    executed through :func:`~repro.experiments.sweep.run_cells` — the same
+    code path whether serial or parallel.  ``workers > 1`` distributes units
+    over a process pool; the aggregated result is bit-identical to
+    ``workers=1`` because every unit is deterministic in its arguments,
+    units are merged in canonical cell order, and PBM's per-task
+    best-lambda selection runs at merge time via
+    :func:`~repro.experiments.sweep.select_best_lambda` exactly as in the
+    serial path.
     """
     from repro.experiments.config import QUICK_SCALE
 
@@ -203,41 +198,19 @@ def run_group_size_sweep(
         for net_index in range(scl.network_count)
         for k in scl.group_sizes
     ]
-    units = [
-        (cfg, scl, engine, net_index, k, spec)
-        for net_index, k in cells
-        for spec in specs
-    ]
-
-    finished = 0
-
-    def cell_progress(_unit_message: str) -> None:
-        # Units are reported in submission order, so every len(specs)-th
-        # completion closes one (network, k) cell.
-        nonlocal finished
-        finished += 1
-        if progress is not None and finished % len(specs) == 0:
-            net_index, k = cells[finished // len(specs) - 1]
-            progress(f"network {net_index + 1}/{scl.network_count} k={k} done")
-
-    outputs = run_units(
+    per_cell = run_cells(
         run_sweep_unit,
-        units,
+        cells,
+        specs,
+        lambda cell, spec: (cfg, scl, engine, *cell, spec),
         workers=workers,
-        progress=None if progress is None else cell_progress,
+        progress=progress,
+        describe=lambda cell: f"network {cell[0] + 1}/{scl.network_count} k={cell[1]}",
     )
-    merge_worker_perf(
-        (delta for _, delta in outputs),
-        used_pool=workers > 1 and len(units) > 1,
-    )
-
-    index = 0
-    for _, k in cells:
-        per_spec = [batch for batch, _ in outputs[index : index + len(specs)]]
-        index += len(specs)
-        for spec, batch in zip(specs[:fixed_count], per_spec[:fixed_count]):
+    for (_, k), batches in zip(cells, per_cell):
+        for spec, batch in zip(specs[:fixed_count], batches):
             sweep.add(str(spec[0]), k, batch)
-        sweep.add(LABEL_PBM, k, select_best_lambda(per_spec[fixed_count:]))
+        sweep.add(LABEL_PBM, k, select_best_lambda(batches[fixed_count:]))
     return sweep
 
 
@@ -294,6 +267,7 @@ def figure14(sweep: GroupSizeSweep) -> FigureResult:
     )
 
 
+@counted_unit
 def run_density_unit(
     config: PaperConfig,
     scale: ExperimentScale,
@@ -301,7 +275,7 @@ def run_density_unit(
     net_index: int,
     node_count: int,
     spec: ProtocolSpec,
-) -> UnitOutput:
+) -> List[TaskResult]:
     """One (density, network, protocol) unit of the Figure-15 sweep."""
     network = cached_network(config, net_index, node_count=node_count)
     streams = RandomStreams(config.master_seed)
@@ -312,9 +286,7 @@ def run_density_unit(
         streams.stream("workload-density", net_index, node_count),
         first_task_id=net_index * 10_000,
     )
-    before = GLOBAL_COUNTERS.snapshot()
-    batch = run_tasks(network, build_protocol(spec), tasks, engine)
-    return batch, GLOBAL_COUNTERS.delta_since(before)
+    return run_tasks(network, build_protocol(spec), tasks, engine)
 
 
 def figure15(
@@ -331,8 +303,8 @@ def figure15(
     recovery semantics are compared (PBM, LGS, GMP), exactly as in the
     paper.  The y value is the failure count normalized to the paper's
     1000-task total.  Sharded one unit per (density, network, protocol) via
-    :func:`repro.perf.parallel.run_units`; the result is bit-identical for
-    any worker count.
+    :func:`~repro.experiments.sweep.run_cells`; the result is bit-identical
+    for any worker count.
     """
     from repro.experiments.config import QUICK_SCALE
 
@@ -349,59 +321,32 @@ def figure15(
         for node_count in scl.density_node_counts
         for net_index in range(scl.network_count)
     ]
-    units = [
-        (cfg, scl, engine, net_index, node_count, spec)
-        for node_count, net_index in cells
-        for spec in specs
-    ]
-
-    finished = 0
-
-    def cell_progress(_unit_message: str) -> None:
-        nonlocal finished
-        finished += 1
-        if progress is not None and finished % len(specs) == 0:
-            node_count, net_index = cells[finished // len(specs) - 1]
-            progress(
-                f"density {node_count}: network {net_index + 1}/{scl.network_count} done"
-            )
-
-    outputs = run_units(
+    per_cell = run_cells(
         run_density_unit,
-        units,
+        cells,
+        specs,
+        lambda cell, spec: (cfg, scl, engine, cell[1], cell[0], spec),
         workers=workers,
-        progress=None if progress is None else cell_progress,
+        progress=progress,
+        describe=lambda cell: (
+            f"density {cell[0]}: network {cell[1] + 1}/{scl.network_count}"
+        ),
     )
-    merge_worker_perf(
-        (delta for _, delta in outputs),
-        used_pool=workers > 1 and len(units) > 1,
-    )
-
-    failures: Dict[str, List[Tuple[float, float]]] = {
-        str(spec[0]): [] for spec in specs
-    }
-    total_tasks = scl.network_count * scl.tasks_per_network
-    index = 0
-    counts: Dict[str, int] = {}
-    for node_count, net_index in cells:
-        if net_index == 0:
-            counts = {str(spec[0]): 0 for spec in specs}
-        for spec, (batch, _) in zip(specs, outputs[index : index + len(specs)]):
-            counts[str(spec[0])] += sum(0 if r.success else 1 for r in batch)
-        index += len(specs)
-        if net_index == scl.network_count - 1:
-            for spec in specs:
-                label = str(spec[0])
-                # Normalize to the paper's 1000-task denominator.
-                failures[label].append(
-                    (float(node_count), counts[label] * 1000.0 / total_tasks)
-                )
     return FigureResult(
         figure_id="figure15",
         title="Number of failed tasks for different network densities",
         x_label="number of nodes",
         y_label="failed tasks (per 1000)",
-        series=failures,
+        # Failure counts normalized to the paper's 1000-task denominator.
+        series=network_means(
+            [str(spec[0]) for spec in specs],
+            [float(node_count) for node_count in scl.density_node_counts],
+            per_cell,
+            scl.network_count,
+            lambda batch: sum(0 if r.success else 1 for r in batch),
+            factor=1000.0,
+            divisor=scl.network_count * scl.tasks_per_network,
+        ),
     )
 
 

@@ -4,36 +4,40 @@ Extensions beyond the paper's evaluation (which assumes a loss-free MAC and
 live nodes): sweep the injected link-loss rate and the fraction of crashed
 nodes, and measure each protocol's delivery ratio and energy.  Flooding is
 included as the redundancy reference — it pays maximal energy but tolerates
-loss best, bracketing the stateless protocols from above.
+loss best, bracketing the stateless protocols from above.  Every sweep runs
+one unit per (x value, network, protocol) through
+:func:`repro.experiments.sweep.run_cells`, so results are byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.adversary import DROPPER, SPOOFER, SUPPRESSOR, AdversarySchedule, AdversarySpec
-from repro.engine import EngineConfig, run_task, summarize_results
+from repro.engine import EngineConfig, summarize_results
 from repro.experiments.config import PaperConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.sweep import make_network
+from repro.experiments.sweep import (
+    ProtocolSpec,
+    build_protocol,
+    cached_network,
+    counted_unit,
+    network_means,
+    run_cells,
+    run_tasks,
+)
+from repro.network.graph import WirelessNetwork
 from repro.sessions.workload import generate_tasks
-from repro.routing.base import RoutingProtocol
-from repro.routing.flooding import FloodingProtocol
-from repro.routing.gmp import GMPProtocol
-from repro.routing.lgs import LGSProtocol
 from repro.simkit.rng import RandomStreams, derive_seed
 
-ProtocolFactory = Callable[[], RoutingProtocol]
+ProgressFn = Callable[[str], None]
 
-#: Default protocol set for robustness sweeps.
-DEFAULT_PROTOCOLS: Tuple[Tuple[str, ProtocolFactory], ...] = (
-    ("GMP", GMPProtocol),
-    ("LGS", LGSProtocol),
-    ("FLOOD", FloodingProtocol),
-)
+#: Protocols every robustness sweep compares (order fixes unit order).
+ROBUSTNESS_SPECS: Tuple[ProtocolSpec, ...] = (("GMP",), ("LGS",), ("FLOOD",))
 
 
 @dataclass(frozen=True)
@@ -71,88 +75,133 @@ PAPER_ROBUSTNESS_SCALE = RobustnessScale(
     adversary_counts=(0, 1, 2, 4, 8, 16),
 )
 
-
-def robustness_scale_by_name(name: str) -> RobustnessScale:
-    """Resolve a scale preset; raises ``ValueError`` on unknown names."""
-    scales = {
-        "smoke": SMOKE_ROBUSTNESS_SCALE,
-        "quick": QUICK_ROBUSTNESS_SCALE,
-        "paper": PAPER_ROBUSTNESS_SCALE,
-    }
-    try:
-        return scales[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown robustness scale {name!r} (expected one of "
-            f"{sorted(scales)})"
-        ) from None
+#: Robustness presets by name (see :func:`repro.experiments.config.preset`).
+ROBUSTNESS_PRESETS: Dict[str, RobustnessScale] = {
+    s.name: s
+    for s in (SMOKE_ROBUSTNESS_SCALE, QUICK_ROBUSTNESS_SCALE, PAPER_ROBUSTNESS_SCALE)
+}
 
 
-def _delivery_and_energy(
-    network,
-    factory: ProtocolFactory,
-    tasks,
-    engine: EngineConfig,
+def _pick(network: WirelessNetwork, count: int, *labels: object) -> List[int]:
+    """``count`` distinct node ids drawn from the seed derived from ``labels``."""
+    rng = np.random.default_rng(derive_seed(*labels))
+    return [int(node) for node in rng.choice(network.node_count, size=count, replace=False)]
+
+
+@counted_unit
+def run_robustness_unit(
+    config: PaperConfig,
+    scale: RobustnessScale,
+    sweep: str,
+    x: Any,
+    net_index: int,
+    spec: ProtocolSpec,
 ) -> Tuple[float, float]:
-    results = [
-        run_task(network, factory(), t.source_id, t.destination_ids,
-                 config=engine, task_id=t.task_id)
-        for t in tasks
-    ]
-    summary = summarize_results(results)
+    """One (sweep x value, network, protocol) unit: delivery ratio and mean
+    energy per task.
+
+    Pure in its picklable arguments: the cell's tasks come from a stream
+    keyed by the cell alone, so every protocol and every loss rate replays
+    the same batch.  ``sweep`` is ``"loss"`` (x = loss rate), ``"crash"``
+    (x = crashed fraction) or ``"adversary"`` (x = (behavior, count)).
+    """
+    network = cached_network(config, net_index)
+    seed = config.master_seed
+    excluded: List[int] = []
+    options: Dict[str, Any]
+    if sweep == "loss":
+        labels: Tuple[object, ...] = ("robust-loss", net_index)
+        options = dict(link_loss_rate=x, loss_seed=derive_seed(seed, "loss", net_index))
+    elif sweep == "crash":
+        labels = ("robust-crash", net_index, x)
+        excluded = _pick(
+            network, int(round(x * network.node_count)), seed, "crash", net_index, x
+        )
+        options = dict(failed_node_ids=frozenset(excluded))
+    else:
+        behavior, count = x
+        labels = ("robust-adv", behavior, net_index, count)
+        excluded = sorted(
+            _pick(network, count, seed, "adv-place", behavior, net_index, count)
+        )
+        options = dict(
+            adversary=AdversarySchedule(
+                specs=tuple(_behavior_spec(behavior, node, config) for node in excluded),
+                seed=derive_seed(seed, "adv-state", behavior, net_index, count),
+            )
+        )
+    # Sources come from the live, honest nodes: the first tasks_per_network
+    # of twice as many draws whose source is not excluded.
+    skip = frozenset(excluded)
+    draws = generate_tasks(
+        network,
+        scale.tasks_per_network * 2,
+        scale.group_size,
+        RandomStreams(seed).stream(*labels),
+    )
+    tasks = [t for t in draws if t.source_id not in skip][: scale.tasks_per_network]
+    engine = EngineConfig(max_path_length=config.max_path_length, **options)
+    summary = summarize_results(run_tasks(network, build_protocol(spec), tasks, engine))
     return summary.delivery_ratio, summary.mean_energy_joules
+
+
+def _robustness_cells(
+    config: PaperConfig,
+    scale: RobustnessScale,
+    sweep: str,
+    xs: Sequence[Any],
+    progress: Optional[ProgressFn],
+    workers: int,
+) -> List[List[Tuple[float, float]]]:
+    """Run one sweep's (x, network) cells over :data:`ROBUSTNESS_SPECS`."""
+    nets = scale.network_count
+    return run_cells(
+        run_robustness_unit,
+        [(x, net_index) for x in xs for net_index in range(nets)],
+        ROBUSTNESS_SPECS,
+        lambda cell, spec: (config, scale, sweep, cell[0], cell[1], spec),
+        workers=workers,
+        progress=progress,
+        describe=lambda cell: f"{sweep} {cell[0]}: network {cell[1] + 1}/{nets}",
+    )
+
+
+_LABELS = [str(spec[0]) for spec in ROBUSTNESS_SPECS]
 
 
 def link_loss_sweep(
     config: Optional[PaperConfig] = None,
     scale: Optional[RobustnessScale] = None,
-    protocols: Sequence[Tuple[str, ProtocolFactory]] = DEFAULT_PROTOCOLS,
+    progress: Optional[ProgressFn] = None,
+    workers: int = 1,
 ) -> Tuple[FigureResult, FigureResult]:
     """Delivery ratio and energy vs. injected link-loss rate.
 
-    Returns ``(delivery_figure, energy_figure)``.
+    Every loss rate replays the same task batch per network, so the x axis
+    varies only the loss odds.  Returns ``(delivery_figure, energy_figure)``.
     """
     cfg = config or PaperConfig(node_count=400)
     scl = scale or RobustnessScale()
-    streams = RandomStreams(cfg.master_seed)
-    delivery: Dict[str, List[Tuple[float, float]]] = {n: [] for n, _ in protocols}
-    energy: Dict[str, List[Tuple[float, float]]] = {n: [] for n, _ in protocols}
-    for loss in scl.loss_rates:
-        sums = {n: [0.0, 0.0] for n, _ in protocols}
-        for net_index in range(scl.network_count):
-            network = make_network(cfg, net_index)
-            tasks = generate_tasks(
-                network,
-                scl.tasks_per_network,
-                scl.group_size,
-                streams.stream("robust-loss", net_index),
-            )
-            engine = EngineConfig(
-                max_path_length=cfg.max_path_length,
-                link_loss_rate=loss,
-                loss_seed=derive_seed(cfg.master_seed, "loss", net_index),
-            )
-            for name, factory in protocols:
-                ratio, joules = _delivery_and_energy(network, factory, tasks, engine)
-                sums[name][0] += ratio
-                sums[name][1] += joules
-        for name, _ in protocols:
-            delivery[name].append((loss, sums[name][0] / scl.network_count))
-            energy[name].append((loss, sums[name][1] / scl.network_count))
+    per_cell = _robustness_cells(cfg, scl, "loss", scl.loss_rates, progress, workers)
+    nets = scl.network_count
     return (
         FigureResult(
             figure_id="robust-loss-delivery",
             title="Delivery ratio under link loss",
             x_label="per-copy loss probability",
             y_label="delivered / requested",
-            series=delivery,
+            series=network_means(
+                _LABELS, scl.loss_rates, per_cell, nets, lambda out: out[0]
+            ),
         ),
         FigureResult(
             figure_id="robust-loss-energy",
             title="Energy under link loss",
             x_label="per-copy loss probability",
             y_label="mean energy per task (J)",
-            series=energy,
+            series=network_means(
+                _LABELS, scl.loss_rates, per_cell, nets, lambda out: out[1]
+            ),
         ),
     )
 
@@ -160,7 +209,8 @@ def link_loss_sweep(
 def node_failure_sweep(
     config: Optional[PaperConfig] = None,
     scale: Optional[RobustnessScale] = None,
-    protocols: Sequence[Tuple[str, ProtocolFactory]] = DEFAULT_PROTOCOLS,
+    progress: Optional[ProgressFn] = None,
+    workers: int = 1,
 ) -> FigureResult:
     """Delivery ratio vs. fraction of silently crashed nodes.
 
@@ -170,46 +220,17 @@ def node_failure_sweep(
     """
     cfg = config or PaperConfig(node_count=400)
     scl = scale or RobustnessScale()
-    streams = RandomStreams(cfg.master_seed)
-    series: Dict[str, List[Tuple[float, float]]] = {n: [] for n, _ in protocols}
-    for fraction in scl.failed_fractions:
-        sums = {n: 0.0 for n, _ in protocols}
-        for net_index in range(scl.network_count):
-            network = make_network(cfg, net_index)
-            fail_rng = np.random.default_rng(
-                derive_seed(cfg.master_seed, "crash", net_index, fraction)
-            )
-            failed_count = int(round(fraction * network.node_count))
-            failed = frozenset(
-                int(x)
-                for x in fail_rng.choice(
-                    network.node_count, size=failed_count, replace=False
-                )
-            )
-            tasks = [
-                t
-                for t in generate_tasks(
-                    network,
-                    scl.tasks_per_network * 2,
-                    scl.group_size,
-                    streams.stream("robust-crash", net_index, fraction),
-                )
-                if t.source_id not in failed
-            ][: scl.tasks_per_network]
-            engine = EngineConfig(
-                max_path_length=cfg.max_path_length, failed_node_ids=failed
-            )
-            for name, factory in protocols:
-                ratio, _ = _delivery_and_energy(network, factory, tasks, engine)
-                sums[name] += ratio
-        for name, _ in protocols:
-            series[name].append((fraction, sums[name] / scl.network_count))
+    per_cell = _robustness_cells(
+        cfg, scl, "crash", scl.failed_fractions, progress, workers
+    )
     return FigureResult(
         figure_id="robust-crash-delivery",
         title="Delivery ratio under silent node failures",
         x_label="fraction of crashed nodes",
         y_label="delivered / requested",
-        series=series,
+        series=network_means(
+            _LABELS, scl.failed_fractions, per_cell, scl.network_count, lambda out: out[0]
+        ),
     )
 
 
@@ -238,7 +259,8 @@ def adversary_sweep(
     config: Optional[PaperConfig] = None,
     scale: Optional[RobustnessScale] = None,
     behaviors: Tuple[str, ...] = ADVERSARY_SWEEP_BEHAVIORS,
-    protocols: Sequence[Tuple[str, ProtocolFactory]] = DEFAULT_PROTOCOLS,
+    progress: Optional[ProgressFn] = None,
+    workers: int = 1,
 ) -> Tuple[FigureResult, ...]:
     """Delivery ratio vs. number of adversarial nodes, one figure per behavior.
 
@@ -251,57 +273,29 @@ def adversary_sweep(
     """
     cfg = config or PaperConfig(node_count=400)
     scl = scale or RobustnessScale()
-    streams = RandomStreams(cfg.master_seed)
-    figures: List[FigureResult] = []
-    for behavior in behaviors:
-        series: Dict[str, List[Tuple[float, float]]] = {n: [] for n, _ in protocols}
-        for count in scl.adversary_counts:
-            sums = {n: 0.0 for n, _ in protocols}
-            for net_index in range(scl.network_count):
-                network = make_network(cfg, net_index)
-                adv_rng = np.random.default_rng(
-                    derive_seed(cfg.master_seed, "adv-place", behavior, net_index, count)
-                )
-                chosen = sorted(
-                    int(x)
-                    for x in adv_rng.choice(
-                        network.node_count, size=count, replace=False
-                    )
-                )
-                schedule = AdversarySchedule(
-                    specs=tuple(
-                        _behavior_spec(behavior, node_id, cfg) for node_id in chosen
-                    ),
-                    seed=derive_seed(
-                        cfg.master_seed, "adv-state", behavior, net_index, count
-                    ),
-                )
-                adversarial = frozenset(chosen)
-                tasks = [
-                    t
-                    for t in generate_tasks(
-                        network,
-                        scl.tasks_per_network * 2,
-                        scl.group_size,
-                        streams.stream("robust-adv", behavior, net_index, count),
-                    )
-                    if t.source_id not in adversarial
-                ][: scl.tasks_per_network]
-                engine = EngineConfig(
-                    max_path_length=cfg.max_path_length, adversary=schedule
-                )
-                for name, factory in protocols:
-                    ratio, _ = _delivery_and_energy(network, factory, tasks, engine)
-                    sums[name] += ratio
-            for name, _ in protocols:
-                series[name].append((float(count), sums[name] / scl.network_count))
-        figures.append(
-            FigureResult(
-                figure_id=f"robust-adv-{behavior}",
-                title=f"Delivery ratio under {behavior} adversaries",
-                x_label="adversarial node count",
-                y_label="delivered / requested",
-                series=series,
-            )
+    xs = [float(count) for count in scl.adversary_counts]
+    per_cell = _robustness_cells(
+        cfg,
+        scl,
+        "adversary",
+        [(behavior, count) for behavior in behaviors for count in scl.adversary_counts],
+        progress,
+        workers,
+    )
+    per_behavior = len(xs) * scl.network_count
+    return tuple(
+        FigureResult(
+            figure_id=f"robust-adv-{behavior}",
+            title=f"Delivery ratio under {behavior} adversaries",
+            x_label="adversarial node count",
+            y_label="delivered / requested",
+            series=network_means(
+                _LABELS,
+                xs,
+                per_cell[b * per_behavior : (b + 1) * per_behavior],
+                scl.network_count,
+                lambda out: out[0],
+            ),
         )
-    return tuple(figures)
+        for b, behavior in enumerate(behaviors)
+    )

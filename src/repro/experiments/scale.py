@@ -16,7 +16,7 @@ LGS).  The centralized SMT baseline is deliberately excluded — its global
 would dominate the wall clock without exercising any distributed hot path.
 
 The sweep is sharded one unit per (node count, group size, network,
-protocol) and executed through :func:`repro.perf.parallel.run_units`, so
+protocol) and executed through :func:`repro.experiments.sweep.run_cells`, so
 ``--workers N`` output is bit-identical to the serial run; the contract is
 enforced by comparing :meth:`ScaleSweep.digest` values.
 """
@@ -36,10 +36,11 @@ from repro.experiments.sweep import (
     ProtocolSpec,
     build_protocol,
     cached_network,
+    counted_unit,
+    run_cells,
     run_tasks,
 )
-from repro.perf.counters import GLOBAL_COUNTERS, merge_worker_perf
-from repro.perf.parallel import ProgressFn, run_units
+from repro.perf.parallel import ProgressFn, uses_pool
 from repro.perf.shm import SharedNetworkPlane, shared_plane_enabled
 from repro.sessions.workload import MulticastTask, generate_tasks
 from repro.simkit.rng import RandomStreams
@@ -111,20 +112,11 @@ SCALE_DEEP = ScaleSweepScale(
     network_count=1,
 )
 
-_SCALE_SCALES = {
+#: Scale-sweep presets by name (see :func:`repro.experiments.config.preset`).
+SCALE_PRESETS: Dict[str, ScaleSweepScale] = {
     s.name: s
     for s in (SCALE_SMOKE, SCALE_QUICK, SCALE_PAPER, SCALE_SMOKE50K, SCALE_DEEP)
 }
-
-
-def scale_sweep_scale_by_name(name: str) -> ScaleSweepScale:
-    """Look up a sweep preset (``smoke``/``quick``/``paper``/``smoke50k``/``deep``)."""
-    try:
-        return _SCALE_SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scale-sweep preset {name!r}; choose from {sorted(_SCALE_SCALES)}"
-        ) from None
 
 
 def scaled_config(base: PaperConfig, node_count: int) -> PaperConfig:
@@ -172,6 +164,7 @@ def _scale_tasks(
     )
 
 
+@counted_unit
 def run_scale_unit(
     config: PaperConfig,
     scale: ScaleSweepScale,
@@ -180,13 +173,11 @@ def run_scale_unit(
     net_index: int,
     group_size: int,
     spec: ProtocolSpec,
-) -> Tuple[List[TaskResult], Dict[str, float]]:
+) -> List[TaskResult]:
     """One (node count, network, k, protocol) unit; pure in its arguments."""
     network = cached_network(config, net_index)
     tasks = _scale_tasks(config, scale, node_count, net_index, group_size)
-    before = GLOBAL_COUNTERS.snapshot()
-    batch = run_tasks(network, build_protocol(spec), tasks, engine)
-    return batch, GLOBAL_COUNTERS.delta_since(before)
+    return run_tasks(network, build_protocol(spec), tasks, engine)
 
 
 @dataclass
@@ -296,26 +287,6 @@ def run_scale_sweep(
         )
         for node_count in scl.node_counts
     }
-    units = [
-        (
-            scaled_config(base, node_count),
-            scl,
-            engines[node_count],
-            node_count,
-            net_index,
-            k,
-            spec,
-        )
-        for node_count, net_index, k in cells
-        for spec in specs
-    ]
-
-    def describe(index: int) -> str:
-        node_count, net_index, k = cells[index // len(specs)]
-        return (
-            f"n={node_count} net={net_index} k={k} "
-            f"{units[index][6][0]}"
-        )
 
     # Publish each deployment to the shared-memory plane once, before the
     # fan-out, so pool workers attach zero-copy views instead of each
@@ -323,7 +294,7 @@ def run_scale_sweep(
     # serial runs skip it — cached_network already shares in-process).
     plane = SharedNetworkPlane(seed=base.master_seed)
     try:
-        if workers > 1 and len(units) > 1 and shared_plane_enabled():
+        if uses_pool(workers, len(cells) * len(specs)) and shared_plane_enabled():
             for node_count in scl.node_counts:
                 cfg_n = scaled_config(base, node_count)
                 for net_index in range(scl.network_count):
@@ -336,26 +307,27 @@ def run_scale_sweep(
                     f"({plane.published_bytes() / 1048576.0:.1f} MiB) to the "
                     f"shared-memory plane"
                 )
-        outputs = run_units(
+        per_cell = run_cells(
             run_scale_unit,
-            units,
+            cells,
+            specs,
+            lambda cell, spec: (
+                scaled_config(base, cell[0]),
+                scl,
+                engines[cell[0]],
+                *cell,
+                spec,
+            ),
             workers=workers,
             progress=progress,
-            describe=describe,
+            describe=lambda cell: f"n={cell[0]} net={cell[1]} k={cell[2]}",
             plane=plane,
         )
     finally:
         plane.close()
-    merge_worker_perf(
-        (delta for _, delta in outputs),
-        used_pool=workers > 1 and len(units) > 1,
-    )
 
-    index = 0
-    for node_count, _net_index, k in cells:
-        for spec in specs:
-            batch, _ = outputs[index]
-            index += 1
+    for (node_count, _net_index, k), batches in zip(cells, per_cell):
+        for spec, batch in zip(specs, batches):
             sweep.add(str(spec[0]), node_count, k, batch)
     return sweep
 

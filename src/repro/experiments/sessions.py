@@ -98,19 +98,10 @@ SESSIONS_PAPER = SessionScale(
     sessions_per_cell=200,
 )
 
-_SESSION_SCALES = {
+#: Streaming-sweep presets by name (see :func:`repro.experiments.config.preset`).
+SESSION_PRESETS: Dict[str, SessionScale] = {
     s.name: s for s in (SESSIONS_SMOKE, SESSIONS_QUICK, SESSIONS_PAPER)
 }
-
-
-def session_scale_by_name(name: str) -> SessionScale:
-    """Look up a streaming-sweep preset (``smoke``/``quick``/``paper``)."""
-    try:
-        return _SESSION_SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sessions preset {name!r}; choose from {sorted(_SESSION_SCALES)}"
-        ) from None
 
 
 #: One sweep cell: (node count, arrival label, protocol spec).

@@ -1,8 +1,13 @@
 """Batch execution: seeded networks, task batches, and the PBM lambda sweep.
 
-This module also hosts the pieces shared by the parallel experiment engine
-(:mod:`repro.perf.parallel`):
+This module also hosts the pieces every experiment family shares:
 
+* :func:`run_cells` — the one fan-out of every fixed-size sweep: it runs a
+  unit per (cell, arm) through :func:`repro.perf.parallel.run_units`,
+  reports each finished cell, merges worker perf counters once and
+  regroups the results per cell;
+* :func:`counted_unit` — turns a unit body into a ``(result, counter
+  delta)`` unit whose counter window spans the whole call;
 * :func:`cached_network` — a per-process memo so each worker reconstructs a
   given deployment once and reuses it across all units it executes;
 * :func:`build_protocol` — protocol construction from a picklable spec tuple,
@@ -14,21 +19,25 @@ This module also hosts the pieces shared by the parallel experiment engine
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine import DEFAULT_ENGINE_CONFIG, EngineConfig, TaskResult, run_task
 from repro.experiments.config import PaperConfig
 from repro.sessions.workload import MulticastTask
 from repro.network.graph import WirelessNetwork, build_network
 from repro.network.topology import uniform_random_topology
+from repro.perf.counters import GLOBAL_COUNTERS, merge_worker_perf
+from repro.perf.parallel import ProgressFn, run_units, uses_pool
+from repro.perf.shm import SharedNetworkPlane, attached_network
 from repro.routing.base import RoutingProtocol
+from repro.routing.flooding import FloodingProtocol
 from repro.routing.gmp import GMPProtocol
 from repro.routing.grd import GRDProtocol
 from repro.routing.lgs import LGSProtocol
 from repro.routing.pbm import PBMProtocol
 from repro.routing.smt import SMTProtocol
-from repro.perf.shm import attached_network
 from repro.simkit.rng import RandomStreams
 
 #: A picklable protocol description: ``(name,)`` or ``("PBM", lam)``.
@@ -40,6 +49,7 @@ _PROTOCOL_FACTORIES: Dict[str, Callable[[], RoutingProtocol]] = {
     "LGS": LGSProtocol,
     "SMT": SMTProtocol,
     "GRD": GRDProtocol,
+    "FLOOD": FloodingProtocol,
 }
 
 
@@ -47,9 +57,10 @@ def build_protocol(spec: ProtocolSpec) -> RoutingProtocol:
     """Construct a protocol instance from a picklable spec tuple.
 
     ``("GMP",)``, ``("GMPnr",)``, ``("LGS",)``, ``("SMT",)``, ``("GRD",)``
-    take no parameters; ``("PBM", lam)`` carries its lambda.  Work units ship
-    specs across the process boundary instead of live protocol objects, so a
-    worker always starts from a freshly-constructed (stateless) instance.
+    and ``("FLOOD",)`` take no parameters; ``("PBM", lam)`` carries its
+    lambda.  Work units ship specs across the process boundary instead of
+    live protocol objects, so a worker always starts from a
+    freshly-constructed (stateless) instance.
     """
     name = spec[0]
     if name == "PBM":
@@ -194,3 +205,111 @@ def best_lambda_results(
         run_tasks(network, protocol_factory(lam), tasks, cfg) for lam in lambdas
     ]
     return select_best_lambda(per_lambda)
+
+
+R = TypeVar("R")
+
+#: What a sweep unit returns: its result plus the perf-counter delta it
+#: accumulated (merged back by the parent when the unit ran in a worker).
+UnitOutput = Tuple[Any, Dict[str, float]]
+
+
+def counted_unit(body: Callable[..., R]) -> Callable[..., Tuple[R, Dict[str, float]]]:
+    """Make ``body`` a sweep unit returning ``(result, counter delta)``.
+
+    The counter window opens before ``body``'s first line, so the delta
+    covers everything the unit did — including a pool worker's first
+    deployment build inside :func:`cached_network`.  The wrapper keeps the
+    body's module and name, so units still pickle by reference.
+    """
+
+    @functools.wraps(body)
+    def unit(*args: Any) -> Tuple[R, Dict[str, float]]:
+        before = GLOBAL_COUNTERS.snapshot()
+        result = body(*args)
+        return result, GLOBAL_COUNTERS.delta_since(before)
+
+    return unit
+
+
+def run_cells(
+    unit: Callable[..., UnitOutput],
+    cells: Sequence[Any],
+    arms: Sequence[Any],
+    unit_args: Callable[[Any, Any], Tuple[Any, ...]],
+    workers: int = 1,
+    progress: Optional[ProgressFn] = None,
+    describe: Callable[[Any], str] = str,
+    plane: Optional[SharedNetworkPlane] = None,
+) -> List[List[Any]]:
+    """Run ``unit(*unit_args(cell, arm))`` for every cell and arm.
+
+    The one fan-out of every fixed-size sweep.  Units are submitted cell by
+    cell, arms in order, through :func:`repro.perf.parallel.run_units`, so
+    the result is bit-identical for any ``workers``.  ``progress`` hears
+    one line per finished cell (labelled by ``describe``); worker perf
+    deltas are merged once, only when a pool ran; ``plane`` is forwarded
+    to the pool.
+
+    Returns:
+        Per cell, the units' results in arm order (deltas stripped).
+    """
+    units = [unit_args(cell, arm) for cell in cells for arm in arms]
+    width = len(arms)
+    finished = 0
+
+    def unit_done(_message: str) -> None:
+        # Units are reported in submission order, so every width-th report
+        # closes the next cell.
+        nonlocal finished
+        finished += 1
+        if progress is not None and finished % width == 0:
+            done = finished // width
+            progress(f"{describe(cells[done - 1])} done ({done}/{len(cells)})")
+
+    outputs = run_units(
+        unit,
+        units,
+        workers=workers,
+        progress=None if progress is None else unit_done,
+        plane=plane,
+    )
+    merge_worker_perf(
+        (delta for _, delta in outputs), used_pool=uses_pool(workers, len(units))
+    )
+    return [
+        [result for result, _ in outputs[start : start + width]]
+        for start in range(0, len(outputs), width)
+    ]
+
+
+def network_means(
+    labels: Sequence[str],
+    xs: Sequence[float],
+    per_cell: Sequence[Sequence[Any]],
+    network_count: int,
+    metric: Callable[[Any], float],
+    factor: float = 1.0,
+    divisor: Optional[int] = None,
+) -> Dict[str, List[Tuple[float, float]]]:
+    """One series per arm label: ``factor * sum / divisor`` per x value.
+
+    ``per_cell`` is :func:`run_cells` output for cells ordered with the
+    network index innermost, so each run of ``network_count`` cells is one
+    x value; ``sum`` adds ``metric`` over them in network order, as a
+    serial loop's accumulator does.  ``divisor`` defaults to
+    ``network_count`` (a mean over networks).
+    """
+    starts = range(0, len(per_cell), network_count)
+    return {
+        label: [
+            (
+                x,
+                factor
+                * sum(metric(cell[arm]) for cell in per_cell[start : start + network_count])
+                / (divisor or network_count),
+            )
+            for x, start in zip(xs, starts)
+        ]
+        for arm, label in enumerate(labels)
+    }

@@ -39,6 +39,11 @@ if TYPE_CHECKING:
 ProgressFn = Callable[[str], None]
 
 
+def uses_pool(workers: int, unit_count: int) -> bool:
+    """Whether :func:`run_units` runs ``unit_count`` units in a process pool."""
+    return workers > 1 and unit_count > 1
+
+
 def _plane_initializer(
     plane: "Optional[SharedNetworkPlane]",
 ) -> Tuple[Optional[Callable[..., None]], Tuple[Any, ...]]:
@@ -61,7 +66,6 @@ def run_units(
     args_list: Sequence[Tuple[Any, ...]],
     workers: int = 1,
     progress: Optional[ProgressFn] = None,
-    describe: Optional[Callable[[int], str]] = None,
     plane: "Optional[SharedNetworkPlane]" = None,
 ) -> List[Any]:
     """Run ``fn(*args)`` for every args tuple, results in submission order.
@@ -73,7 +77,6 @@ def run_units(
         args_list: One picklable argument tuple per unit.
         workers: Process count; ``<= 1`` means serial in-process execution.
         progress: Optional callback, invoked once per completed unit.
-        describe: Optional unit-index -> label used in progress messages.
         plane: Optional published shared-memory plane; its manifests reach
             every worker via the pool initializer so ``cached_network``
             attaches deployments instead of rebuilding them.
@@ -85,10 +88,9 @@ def run_units(
 
     def say(index: int) -> None:
         if progress is not None:
-            label = describe(index) if describe is not None else f"unit {index + 1}"
-            progress(f"{label} done ({index + 1}/{len(args_list)})")
+            progress(f"unit {index + 1} done ({index + 1}/{len(args_list)})")
 
-    if workers <= 1 or len(args_list) <= 1:
+    if not uses_pool(workers, len(args_list)):
         results = []
         for index, args in enumerate(args_list):
             results.append(fn(*args))

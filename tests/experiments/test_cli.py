@@ -66,6 +66,22 @@ class TestCLI:
         assert main(["robustness", "--scale", "galactic"]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_ablations_reject_workers(self, capsys):
+        assert main(["ablations", "--workers", "4", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--workers" in err
+        assert "Traceback" not in err
+
+    def test_ablations_write_json_and_perf(self, tmp_path, capsys):
+        path = tmp_path / "abl.json"
+        argv = ["ablations", "--nodes", "200", "--quiet", "--perf", "--json", str(path)]
+        assert main(argv) == 0
+        payload = json.loads(path.read_text())
+        assert [o["name"] for o in payload["ablations"]][0] == "radio-range-awareness"
+        assert payload["scale"] is None
+        assert "== radio-range-awareness ==" in capsys.readouterr().out
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure99"])

@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.experiments.config import PaperConfig
+from repro.experiments.config import PaperConfig, preset
 from repro.experiments.contention import (
+    CONTENTION_PRESETS,
     CONTENTION_SPECS,
     ContentionScale,
     PAPER_CONTENTION_SCALE,
     QUICK_CONTENTION_SCALE,
     SMOKE_CONTENTION_SCALE,
     arq_ablation,
-    contention_protocol,
-    contention_scale_by_name,
     contention_sweep,
     run_contention_unit,
     _contended_engine,
 )
-from repro.experiments.robustness import robustness_scale_by_name
+from repro.experiments.sweep import build_protocol
 from repro.routing.flooding import FloodingProtocol
 from repro.routing.gmp import GMPProtocol
 
@@ -37,19 +36,13 @@ TINY_CONFIG = PaperConfig(node_count=60, master_seed=404)
 
 class TestScalePresets:
     def test_lookup_by_name(self):
-        assert contention_scale_by_name("smoke") is SMOKE_CONTENTION_SCALE
-        assert contention_scale_by_name("quick") is QUICK_CONTENTION_SCALE
-        assert contention_scale_by_name("paper") is PAPER_CONTENTION_SCALE
+        assert preset(CONTENTION_PRESETS, "smoke") is SMOKE_CONTENTION_SCALE
+        assert preset(CONTENTION_PRESETS, "quick") is QUICK_CONTENTION_SCALE
+        assert preset(CONTENTION_PRESETS, "paper") is PAPER_CONTENTION_SCALE
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
-            contention_scale_by_name("galactic")
-
-    def test_robustness_presets_mirror_the_pattern(self):
-        for name in ("smoke", "quick", "paper"):
-            assert robustness_scale_by_name(name).name == name
-        with pytest.raises(ValueError):
-            robustness_scale_by_name("galactic")
+            preset(CONTENTION_PRESETS, "galactic")
 
     def test_paper_scale_is_larger_than_smoke(self):
         assert PAPER_CONTENTION_SCALE.node_count > SMOKE_CONTENTION_SCALE.node_count
@@ -60,10 +53,10 @@ class TestScalePresets:
 
 class TestProtocolFactory:
     def test_flood_spec_builds_flooding(self):
-        assert isinstance(contention_protocol(("FLOOD",)), FloodingProtocol)
+        assert isinstance(build_protocol(("FLOOD",)), FloodingProtocol)
 
     def test_standard_specs_build(self):
-        assert isinstance(contention_protocol(("GMP",)), GMPProtocol)
+        assert isinstance(build_protocol(("GMP",)), GMPProtocol)
 
     def test_sweep_covers_flooding_reference(self):
         assert ("FLOOD",) in CONTENTION_SPECS

@@ -9,7 +9,6 @@ from repro.experiments import (
     PAPER_SCALE,
     QUICK_SCALE,
     SMOKE_SCALE,
-    MulticastTask,
     PaperConfig,
     best_lambda_results,
     generate_tasks,
@@ -17,10 +16,8 @@ from repro.experiments import (
     render_figure_table,
     render_ratio_summary,
     run_tasks,
-    scale_by_name,
 )
 from repro.experiments.figures import (
-    FigureResult,
     delivery_summary,
     figure11,
     figure12,
@@ -29,8 +26,34 @@ from repro.experiments.figures import (
     figure_latency,
     run_group_size_sweep,
 )
+from repro.experiments.config import FIGURE_PRESETS, preset
+from repro.experiments.contention import (
+    CONTENTION_PRESETS,
+    PAPER_CONTENTION_SCALE,
+    QUICK_CONTENTION_SCALE,
+    SMOKE_CONTENTION_SCALE,
+)
 from repro.experiments.report import figure_as_dict_rows
-from repro.routing.gmp import GMPProtocol
+from repro.experiments.robustness import (
+    PAPER_ROBUSTNESS_SCALE,
+    QUICK_ROBUSTNESS_SCALE,
+    ROBUSTNESS_PRESETS,
+    SMOKE_ROBUSTNESS_SCALE,
+)
+from repro.experiments.scale import (
+    SCALE_DEEP,
+    SCALE_PAPER,
+    SCALE_PRESETS,
+    SCALE_QUICK,
+    SCALE_SMOKE,
+    SCALE_SMOKE50K,
+)
+from repro.experiments.sessions import (
+    SESSION_PRESETS,
+    SESSIONS_PAPER,
+    SESSIONS_QUICK,
+    SESSIONS_SMOKE,
+)
 from repro.simkit.rng import RandomStreams
 
 
@@ -42,6 +65,41 @@ def small_sweep():
     return run_group_size_sweep(config, scale)
 
 
+#: Each family's preset table and the presets it must resolve to.
+PRESET_TABLES = {
+    "figures": (
+        FIGURE_PRESETS,
+        (PAPER_SCALE, QUICK_SCALE, SMOKE_SCALE),
+    ),
+    "contention": (
+        CONTENTION_PRESETS,
+        (SMOKE_CONTENTION_SCALE, QUICK_CONTENTION_SCALE, PAPER_CONTENTION_SCALE),
+    ),
+    "robustness": (
+        ROBUSTNESS_PRESETS,
+        (SMOKE_ROBUSTNESS_SCALE, QUICK_ROBUSTNESS_SCALE, PAPER_ROBUSTNESS_SCALE),
+    ),
+    "scale": (
+        SCALE_PRESETS,
+        (SCALE_SMOKE, SCALE_QUICK, SCALE_PAPER, SCALE_SMOKE50K, SCALE_DEEP),
+    ),
+    "sessions": (
+        SESSION_PRESETS,
+        (SESSIONS_SMOKE, SESSIONS_QUICK, SESSIONS_PAPER),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PRESET_TABLES))
+def test_preset_lookup(family):
+    table, presets = PRESET_TABLES[family]
+    assert sorted(table) == sorted(p.name for p in presets)
+    for expected in presets:
+        assert preset(table, expected.name) is expected
+    with pytest.raises(ValueError, match="unknown preset 'galactic'"):
+        preset(table, "galactic")
+
+
 class TestConfig:
     def test_table1_description(self):
         text = PaperConfig().describe()
@@ -49,13 +107,6 @@ class TestConfig:
         assert "1Mbps" in text
         assert "150m" in text
         assert "128B" in text
-
-    def test_scale_lookup(self):
-        assert scale_by_name("paper") is PAPER_SCALE
-        assert scale_by_name("quick") is QUICK_SCALE
-        assert scale_by_name("smoke") is SMOKE_SCALE
-        with pytest.raises(ValueError):
-            scale_by_name("gigantic")
 
     def test_paper_scale_matches_paper(self):
         assert PAPER_SCALE.network_count == 10

@@ -2,14 +2,15 @@
 
 import json
 
-import pytest
-
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.config import PaperConfig, SMOKE_SCALE
 from repro.experiments.figures import (
     FigureResult,
     figure11,
+    figure15,
     run_group_size_sweep,
 )
+from repro.perf.counters import GLOBAL_COUNTERS
 
 
 class TestParallelSweep:
@@ -27,6 +28,30 @@ class TestParallelSweep:
         )
         expected = SMOKE_SCALE.network_count * len(SMOKE_SCALE.group_sizes)
         assert len(messages) == expected
+
+
+class TestPooledPerfCounters:
+    @staticmethod
+    def _counters_moved(workers):
+        """Names of the counters a fresh figure15 + group-size run moves."""
+        saved = dict(sweep_mod._NETWORK_MEMO)
+        sweep_mod._NETWORK_MEMO.clear()
+        try:
+            before = GLOBAL_COUNTERS.snapshot()
+            config = PaperConfig(node_count=250)
+            figure15(config, SMOKE_SCALE, workers=workers)
+            run_group_size_sweep(config, SMOKE_SCALE, workers=workers)
+            return set(GLOBAL_COUNTERS.delta_since(before))
+        finally:
+            sweep_mod._NETWORK_MEMO.clear()
+            sweep_mod._NETWORK_MEMO.update(saved)
+
+    def test_pooled_run_reports_every_serial_counter(self):
+        serial = self._counters_moved(1)
+        # Deployment builds move these; a pooled run builds in its workers.
+        assert any(name.startswith("vector.adjacency.") for name in serial)
+        assert any(name.startswith("vector.gabriel.") for name in serial)
+        assert serial <= self._counters_moved(2)
 
 
 class TestFigureJSON:

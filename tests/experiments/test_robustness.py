@@ -1,10 +1,13 @@
 """Tests for the robustness experiment harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import PaperConfig
 from repro.experiments.robustness import (
     RobustnessScale,
+    adversary_sweep,
     link_loss_sweep,
     node_failure_sweep,
 )
@@ -63,3 +66,32 @@ class TestNodeFailureSweep:
         assert figure.value("GMP", 0.15) <= 1.0
         # Flooding routes around dead nodes via redundancy.
         assert figure.value("FLOOD", 0.15) >= figure.value("GMP", 0.15) - 0.05
+
+
+class TestLinkLossBatch:
+    def test_every_loss_rate_replays_the_same_batch(self):
+        # Two equal x values must give equal points: each loss rate draws
+        # its tasks from its own arguments, not from a shared stream that
+        # advances once per loss rate.
+        scale = dataclasses.replace(SMALL_SCALE, loss_rates=(0.3, 0.3))
+        delivery, energy = link_loss_sweep(SMALL_CONFIG, scale)
+        for figure in (delivery, energy):
+            for label, points in figure.series.items():
+                assert points[0] == points[1], label
+
+
+class TestPooledSweeps:
+    SCALE = dataclasses.replace(
+        SMALL_SCALE, tasks_per_network=3, adversary_counts=(0, 3)
+    )
+
+    def test_pooled_matches_serial(self):
+        def run(workers):
+            figures = [
+                *link_loss_sweep(SMALL_CONFIG, self.SCALE, workers=workers),
+                node_failure_sweep(SMALL_CONFIG, self.SCALE, workers=workers),
+                *adversary_sweep(SMALL_CONFIG, self.SCALE, workers=workers),
+            ]
+            return [figure.to_json_dict() for figure in figures]
+
+        assert run(1) == run(2)

@@ -8,14 +8,10 @@ import pytest
 from repro.experiments.config import PaperConfig
 from repro.experiments.scale import (
     SCALE_DEEP,
-    SCALE_PAPER,
-    SCALE_QUICK,
-    SCALE_SMOKE,
     SCALE_SMOKE50K,
     ScaleSweepScale,
     render_scale_table,
     run_scale_sweep,
-    scale_sweep_scale_by_name,
     scaled_config,
 )
 from repro.perf.shm import shared_plane_disabled
@@ -60,15 +56,6 @@ class TestScaledConfig:
         cfg = scaled_config(PaperConfig(), 100_000)
         assert cfg.max_path_length > 250
         assert cfg.field_width_m == pytest.approx(10_000.0)
-
-    def test_scale_lookup(self):
-        assert scale_sweep_scale_by_name("smoke") is SCALE_SMOKE
-        assert scale_sweep_scale_by_name("quick") is SCALE_QUICK
-        assert scale_sweep_scale_by_name("paper") is SCALE_PAPER
-        assert scale_sweep_scale_by_name("smoke50k") is SCALE_SMOKE50K
-        assert scale_sweep_scale_by_name("deep") is SCALE_DEEP
-        with pytest.raises(ValueError):
-            scale_sweep_scale_by_name("galactic")
 
     def test_large_presets_stay_ci_sized(self):
         """The 50k smoke preset must fit the perf-smoke budget: a handful

@@ -10,12 +10,10 @@ import pytest
 from repro.experiments.config import PaperConfig
 from repro.experiments.sessions import (
     SESSIONS_PAPER,
-    SESSIONS_QUICK,
     SESSIONS_SMOKE,
     render_sessions_table,
     run_sessions_sweep,
     session_cells,
-    session_scale_by_name,
 )
 
 #: The smoke preset shrunk to a unit-test deployment (the preset's 2k-node
@@ -26,14 +24,6 @@ TINY = dataclasses.replace(SESSIONS_SMOKE, node_counts=(150,), sessions_per_cell
 @pytest.fixture(scope="module")
 def config():
     return PaperConfig()
-
-
-def test_presets_resolve_by_name():
-    assert session_scale_by_name("smoke") is SESSIONS_SMOKE
-    assert session_scale_by_name("quick") is SESSIONS_QUICK
-    assert session_scale_by_name("paper") is SESSIONS_PAPER
-    with pytest.raises(ValueError):
-        session_scale_by_name("nope")
 
 
 def test_paper_preset_covers_the_matrix():

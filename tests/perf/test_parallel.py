@@ -22,16 +22,10 @@ class TestRunUnits:
     def test_progress_called_once_per_unit(self):
         args = [(i, 0) for i in range(5)]
         messages = []
-        run_units(
-            _unit,
-            args,
-            workers=1,
-            progress=messages.append,
-            describe=lambda i: f"unit-{i}",
-        )
+        run_units(_unit, args, workers=1, progress=messages.append)
         assert len(messages) == 5
-        assert messages[0] == "unit-0 done (1/5)"
-        assert messages[-1] == "unit-4 done (5/5)"
+        assert messages[0] == "unit 1 done (1/5)"
+        assert messages[-1] == "unit 5 done (5/5)"
 
     def test_empty_and_single(self):
         assert run_units(_unit, [], workers=4) == []
