@@ -77,10 +77,19 @@ def test_bench_euclidean_mst(benchmark):
     benchmark(euclidean_mst, source, dests)
 
 
-def test_bench_kmb(benchmark, micro_network):
+@pytest.fixture(scope="module")
+def table1_network():
+    """A 1,000-node deployment at the paper's Table 1 density."""
+    rng = np.random.default_rng(31)
+    points = uniform_random_topology(1000, 1000.0, 1000.0, rng)
+    return build_network(points, RadioConfig())
+
+
+@pytest.mark.parametrize("network, k", [("micro_network", 12), ("table1_network", 25)])
+def test_bench_kmb(benchmark, request, network, k):
     # The adjacency SMT's prepare_task hands to KMB.
-    adjacency = micro_network.weighted_adjacency()
-    terminals = list(range(0, 120, 10))
+    adjacency = request.getfixturevalue(network).weighted_adjacency()
+    terminals = list(range(0, 10 * k, 10))
     benchmark(kmb_steiner_tree, adjacency, terminals)
 
 

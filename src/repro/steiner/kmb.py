@@ -11,19 +11,30 @@ unit-disk graph connecting itself and all destinations.  KMB is the classic
 4. MST of the expanded subgraph,
 5. prune non-terminal leaves.
 
-Step 1 runs one Dijkstra search per terminal over a
-:class:`~repro.network.graph.WeightedAdjacency` and stops it early:
-terminal *i*'s search pauses once every later terminal is settled, since
-the closure reads d(a, b) only from the earlier terminal's search.
-Expanding closure edge (a, b) in step 3 resumes a's search should b not be
-settled yet.
+Step 1 is a lazy closure driven by Kruskal.  One Dijkstra search per
+terminal runs over a :class:`~repro.network.graph.WeightedAdjacency`, and
+all of them advance in one global non-decreasing distance order: the
+search with the smallest fringe head pops next, in bursts up to the next
+search's head.  When terminal *i*'s search settles a later terminal *j*,
+that is closure edge (i, j) with weight d(i, j), and a union-find takes it
+in.  Search *i* retires once every later terminal shares its component
+and its fringe head is strictly above the weight of the last union: each
+edge (i, j) it has not found is then heavier than a path of found edges
+joining *i* and *j*, so Kruskal would reject it.  The closure stops once
+every terminal shares one component and no live search's head is at or
+below the last union's weight, so every tie at the bottleneck is found
+too.  The closure graph gets the terminals in order, then the found edges
+in (i, j) order.  networkx's Kruskal stable-sorts edges by weight, so a
+found set that holds every edge the full closure's Kruskal accepts, in
+the same relative order, yields the very same MST.  Expanding closure
+edge (a, b) in step 3 reads the path from a's search, which settled b.
 
 The tree is exactly the one a full ``networkx.single_source_dijkstra`` per
-terminal gives, ties included, because the search keeps networkx's rules:
+terminal gives, ties included, because each search keeps networkx's rules:
 the heap holds ``(dist, counter, node)``, a node is settled when popped,
 neighbours are relaxed in adjacency order, and a predecessor is recorded
-only on a strict improvement.  A pause falls between two pops, so an
-early-stopped search has settled the same nodes, at the same distances and
+only on a strict improvement.  A pause falls between two pops, so a
+stopped search has settled the same nodes, at the same distances and
 through the same predecessor chains, as the first pops of a full run.
 """
 
@@ -32,7 +43,7 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from itertools import count
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -98,21 +109,32 @@ class _Search:
         self._fringe: List[Tuple[float, int, int]] = [(0.0, 0, source)]
         self._counter = count(1)
 
-    def settle(self, targets: Iterable[int]) -> None:
-        """Advance until every target is settled or the fringe runs dry."""
+    def head(self) -> float:
+        """Distance of the next settle (``inf`` once the fringe runs dry)."""
+        fringe = self._fringe
         settled = self.settled
-        pending = {t for t in targets if not settled[t]}
+        while fringe and settled[fringe[0][2]]:
+            heappop(fringe)
+        return fringe[0][0] if fringe else math.inf
+
+    def advance(self, bound: float, watch: Container[int]) -> int:
+        """Settle nodes in order while the fringe head is at most ``bound``.
+
+        Returns the first position in ``watch`` settled, pausing right
+        after it, or -1 once the head passes ``bound`` or the fringe runs
+        dry.
+        """
         rows = self._rows
         seen = self.seen
+        settled = self.settled
         pred = self._pred
         fringe = self._fringe
         counter = self._counter
-        while pending and fringe:
+        while fringe and fringe[0][0] <= bound:
             d, _, u = heappop(fringe)
             if settled[u]:
                 continue
             settled[u] = 1
-            pending.discard(u)
             for v, w in rows[u]:
                 # An unseen v has seen[v] == inf.  A settled v never passes:
                 # seen[v] <= d and w >= 0, so networkx's separate check of
@@ -122,16 +144,91 @@ class _Search:
                     seen[v] = vd
                     pred[v] = u
                     heappush(fringe, (vd, next(counter), v))
+            if u in watch:
+                return u
+        return -1
 
     def path_to(self, target: int) -> List[int]:
         """Shortest path from the source to ``target`` (settled on demand)."""
-        self.settle((target,))
+        if not self.settled[target]:
+            self.advance(math.inf, (target,))
         path = [target]
         pred = self._pred
         while pred[path[-1]] >= 0:
             path.append(pred[path[-1]])
         path.reverse()
         return path
+
+
+def _closure(
+    adjacency: WeightedAdjacency, terminals: Sequence[int]
+) -> Tuple[List[_Search], List[Tuple[int, int, float]]]:
+    """Step 1: every closure edge Kruskal accepts, and maybe a few more.
+
+    Returns one search per terminal and the found edges ``(i, j, d)``,
+    ``i < j`` indexing ``terminals``, in (i, j) order.
+
+    Raises:
+        ValueError: For the first pair of terminals, in terminal order,
+            that are not connected.
+    """
+    positions = adjacency.positions
+    k = len(terminals)
+    index_of = {positions[t]: i for i, t in enumerate(terminals)}
+    searches = [_Search(adjacency.rows, positions[t]) for t in terminals]
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # unjoined[i]: the first later terminal not yet known to share i's
+    # component (k once all do; joined terminals never part again).
+    unjoined = list(range(1, k + 1))
+    components, last = k, -math.inf
+    found: List[Tuple[int, int, float]] = []
+    live = [(0.0, i) for i in range(k)]
+    while live:
+        head, i = heappop(live)
+        if head > last:
+            if components == 1:
+                break
+            root = find(i)
+            while unjoined[i] < k and find(unjoined[i]) == root:
+                unjoined[i] += 1
+            if unjoined[i] == k or head == math.inf:
+                continue  # retired, or its whole component is settled
+        search = searches[i]
+        bound = live[0][0] if live else math.inf
+        if components == 1:
+            bound = min(bound, last)
+        u = search.advance(bound, index_of)
+        while u >= 0:
+            j = index_of[u]
+            if j > i:
+                d = search.seen[u]
+                found.append((i, j, d))
+                a, b = find(i), find(j)
+                if a != b:
+                    parent[a] = b
+                    components -= 1
+                    last = d
+                    if components == 1:
+                        bound = min(bound, last)
+            u = search.advance(bound, index_of)
+        heappush(live, (search.head(), i))
+
+    if components > 1:
+        # Every search retired or ran dry, so the union-find now joins
+        # exactly the terminals the graph connects.  Terminal 0 is cut off
+        # from one of any two unconnected terminals, so the first failing
+        # pair in terminal order is (0, j).
+        j = next(j for j in range(1, k) if find(j) != find(0))
+        raise ValueError(f"terminals {terminals[0]} and {terminals[j]} are not connected")
+    found.sort()
+    return searches, found
 
 
 def _edge_weight(adjacency: WeightedAdjacency, p: int, q: int) -> float:
@@ -178,18 +275,12 @@ def kmb_steiner_tree(
         tree.add_node(terminal_list[0])
         return tree
 
-    # Step 1: metric closure restricted to the terminals, each search
-    # stopped once the terminals after its own are settled.
-    searches = {t: _Search(adjacency.rows, positions[t]) for t in terminal_list}
+    # Step 1: the closure edges the MST can take (module docstring).
+    searches, found = _closure(adjacency, terminal_list)
     closure = nx.Graph()
-    for i, a in enumerate(terminal_list):
-        later = terminal_list[i + 1 :]
-        search = searches[a]
-        search.settle(positions[b] for b in later)
-        for b in later:
-            if not search.settled[positions[b]]:
-                raise ValueError(f"terminals {a} and {b} are not connected")
-            closure.add_edge(a, b, weight=search.seen[positions[b]])
+    closure.add_nodes_from(terminal_list)
+    for i, j, d in found:
+        closure.add_edge(terminal_list[i], terminal_list[j], weight=d)
 
     # Step 2: MST of the closure.
     closure_mst = nx.minimum_spanning_tree(closure, weight="weight")
@@ -197,8 +288,9 @@ def kmb_steiner_tree(
     # Step 3: expand closure edges into shortest paths of the base graph.
     expanded = nx.Graph()
     labels = adjacency.labels
+    search_of = dict(zip(terminal_list, searches))
     for a, b in closure_mst.edges():
-        path = searches[a].path_to(positions[b])
+        path = search_of[a].path_to(positions[b])
         for p, q in zip(path[:-1], path[1:]):
             expanded.add_edge(labels[p], labels[q], weight=_edge_weight(adjacency, p, q))
 

@@ -1,4 +1,4 @@
-"""Parity of the early-stopped KMB search with the full-networkx reference.
+"""Parity of the lazy KMB closure with the full-networkx reference.
 
 ``_reference_kmb`` is the KMB implementation that ran one full
 ``networkx.single_source_dijkstra`` per terminal.  The shipping
@@ -16,7 +16,7 @@ from repro.geometry import distance
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
 from repro.routing.smt import SMTProtocol
-from repro.steiner.kmb import _Search, kmb_steiner_tree, unit_weights
+from repro.steiner.kmb import _closure, _Search, kmb_steiner_tree, unit_weights
 
 
 def _reference_edge_weight(graph, u, v, weight):
@@ -26,17 +26,24 @@ def _reference_edge_weight(graph, u, v, weight):
     return float(data.get(weight, 1.0))
 
 
-def _reference_kmb(graph, terminals, weight="weight"):
-    """KMB with full networkx single-source searches (the old step 1)."""
+def _reference_kmb(graph, terminals, weight="weight", searches=None):
+    """KMB with full networkx single-source searches (the old step 1).
+
+    ``searches`` (terminal -> ``single_source_dijkstra`` result) lets calls
+    on the same graph and weight share their searches.
+    """
     terminal_list = list(dict.fromkeys(terminals))
     if len(terminal_list) == 1:
         tree = nx.Graph()
         tree.add_node(terminal_list[0])
         return tree
+    searches = {} if searches is None else searches
     distances: Dict[int, Dict[int, float]] = {}
     paths: Dict[int, Dict[int, List[int]]] = {}
     for t in terminal_list:
-        distances[t], paths[t] = nx.single_source_dijkstra(graph, t, weight=weight)
+        if t not in searches:
+            searches[t] = nx.single_source_dijkstra(graph, t, weight=weight)
+        distances[t], paths[t] = searches[t]
     closure = nx.Graph()
     for i, a in enumerate(terminal_list):
         for b in terminal_list[i + 1 :]:
@@ -100,6 +107,13 @@ def _terminal_sets(network, seed, sizes=(2, 3, 8, 20)):
 
 
 DEPLOYMENT_SEEDS = (3, 11, 29, 57)
+
+
+@pytest.fixture(scope="module")
+def table1():
+    """A 1,000-node Table 1 deployment and its reference graph (read only)."""
+    network = _deployment(3, n=1000)
+    return network, _reference_networkx(network)
 
 
 class TestNetworkGraph:
@@ -167,6 +181,93 @@ class TestParity:
                 kmb_steiner_tree(graph, terminals, weight=hop),
                 _reference_kmb(graph, terminals, weight=hop),
             )
+
+    def test_table1_deployment_at_large_groups(self, table1):
+        network, reference_graph = table1
+        adjacency = network.weighted_adjacency()
+        terminals = _terminal_sets(network, 3, sizes=(40,))[0]
+        searches: Dict[int, tuple] = {}
+        for k in (25, 40):
+            _assert_same_tree(
+                kmb_steiner_tree(adjacency, terminals[:k]),
+                _reference_kmb(reference_graph, terminals[:k], searches=searches),
+            )
+
+    def test_table1_deployment_hop_metric(self):
+        # Every closure distance is an integer: ties at every level.
+        network = _deployment(11, n=1000)
+        terminals = _terminal_sets(network, 11, sizes=(25,))[0]
+        _assert_same_tree(
+            kmb_steiner_tree(unit_weights(network.weighted_adjacency()), terminals),
+            _reference_kmb(
+                _reference_networkx(network), terminals, weight=lambda u, v, d: 1.0
+            ),
+        )
+
+    def test_far_apart_clusters(self, table1):
+        """Tight groups far apart: most searches retire on their own cluster."""
+        network, reference_graph = table1
+        component = set(nx.node_connected_component(reference_graph, 0))
+        clusters = []
+        for center in ((150.0, 150.0), (850.0, 250.0), (450.0, 850.0)):
+            nearest = sorted(
+                component, key=lambda n: distance(network.nodes[n].location, center)
+            )
+            clusters.append(nearest[:4])
+        searches: Dict[int, tuple] = {}
+        for terminals in (
+            [t for group in clusters for t in group],
+            [t for group in zip(*clusters) for t in group],  # interleaved
+        ):
+            _assert_same_tree(
+                kmb_steiner_tree(network.weighted_adjacency(), terminals),
+                _reference_kmb(reference_graph, terminals, searches=searches),
+            )
+
+    def test_unit_grid_ties_at_the_bottleneck(self):
+        """Terminals on a lattice of spacing 2: many closure edges weigh 2."""
+        rng = np.random.default_rng(4)
+        grid = nx.grid_2d_graph(9, 9)
+        labels = rng.permutation(grid.number_of_nodes()).tolist()
+        label_of = {node: labels[i] for i, node in enumerate(grid.nodes())}
+        graph = nx.relabel_nodes(grid, label_of)
+        lattice = [label_of[(x, y)] for x in range(0, 9, 2) for y in range(0, 9, 2)]
+        searches: Dict[int, tuple] = {}
+        for terminals in (lattice, lattice[::-1], rng.permutation(lattice).tolist()):
+            _assert_same_tree(
+                kmb_steiner_tree(graph, terminals),
+                _reference_kmb(graph, terminals, searches=searches),
+            )
+
+    def test_duplicate_terminals(self):
+        network = _deployment(11)
+        reference_graph = _reference_networkx(network)
+        source, *destinations = _terminal_sets(network, 11, sizes=(6,))[0]
+        # A repeated destination, and the source among the destinations.
+        terminals = [source, *destinations, destinations[1], source, destinations[0]]
+        _assert_same_tree(
+            kmb_steiner_tree(network.weighted_adjacency(), terminals),
+            _reference_kmb(reference_graph, terminals),
+        )
+
+
+class TestLaziness:
+    def test_closure_settles_at_most_half_of_the_eager_searches(self, table1):
+        """A silent fallback to one full search per terminal would show here."""
+        network, _ = table1
+        adjacency = network.weighted_adjacency()
+        positions = adjacency.positions
+        terminals = _terminal_sets(network, 7, sizes=(25,))[0]
+        searches, _ = _closure(adjacency, terminals)
+        lazy = sum(sum(search.settled) for search in searches)
+        eager = 0
+        for i, a in enumerate(terminals):
+            # The old step 1: search i runs until every later terminal is settled.
+            search = _Search(adjacency.rows, positions[a])
+            for b in terminals[i + 1 :]:
+                search.path_to(positions[b])
+            eager += sum(search.settled)
+        assert 2 * lazy <= eager
 
 
 class TestResume:
@@ -255,3 +356,23 @@ class TestErrors:
         network = build_network(points, RadioConfig())
         with pytest.raises(ValueError, match=r"^terminals 1 and 3 are not connected$"):
             _smt_schedule(network, 1, (0, 3))
+
+    @staticmethod
+    def _islands():
+        """Three islands of four nodes each, far beyond radio range of each other."""
+        points = []
+        for x0, y0 in ((0.0, 0.0), (900.0, 900.0), (0.0, 900.0)):
+            points += [(x0 + 100.0 * i, y0) for i in range(4)]
+        return build_network(points, RadioConfig()).weighted_adjacency()
+
+    def test_first_failing_pair_in_terminal_order(self):
+        # Islands {0..3}, {4..7}, {8..11}, listed interleaved: the first
+        # failing pair is (0, 5), not (0, 1).
+        with pytest.raises(ValueError, match=r"^terminals 0 and 5 are not connected$"):
+            kmb_steiner_tree(self._islands(), [0, 1, 5, 9, 2, 6])
+        with pytest.raises(ValueError, match=r"^terminals 4 and 9 are not connected$"):
+            kmb_steiner_tree(unit_weights(self._islands()), [4, 6, 9, 0, 5])
+
+    def test_unreachable_terminal_listed_last(self):
+        with pytest.raises(ValueError, match=r"^terminals 1 and 10 are not connected$"):
+            kmb_steiner_tree(self._islands(), [1, 0, 3, 2, 10])
