@@ -268,7 +268,7 @@ def test_bench_fuzz_executor_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Large-scale (5k / 10k node) benches for the vectorized kernels
+# Large-scale (5k / 10k node) benches
 # ----------------------------------------------------------------------
 
 
@@ -291,7 +291,7 @@ def _scale_task_instance(network, node_count, group_size=100):
     return source, dests
 
 
-def test_bench_rrstr_5k_gmp_vectorized(benchmark, scale_network_5k):
+def test_bench_rrstr_5k_gmp(benchmark, scale_network_5k):
     """rrSTR tree for a 5k-node, k=100 GMP task, Fermat memo cold."""
     source, dests = _scale_task_instance(scale_network_5k, 5000)
 
@@ -304,7 +304,7 @@ def test_bench_rrstr_5k_gmp_vectorized(benchmark, scale_network_5k):
 
 
 def test_bench_spatial_queries_10k(benchmark, scale_network_10k):
-    """Radius queries over the 10k-node grid (batched per-cell disk tests)."""
+    """Radius queries over the 10k-node grid (per-cell bounds pruning)."""
     side = scaled_config(PaperConfig(), 10000).field_width_m
     rng = np.random.default_rng(93)
     centers = [Point(*rng.uniform(0, side, 2)) for _ in range(200)]
@@ -320,7 +320,7 @@ def test_bench_spatial_queries_10k(benchmark, scale_network_10k):
 
 
 def test_bench_planarization_10k(benchmark, scale_network_10k):
-    """Gabriel witness tests over 10k-node neighbor tables (batched masks)."""
+    """Gabriel witness tests over 10k-node neighbor tables."""
     from repro.network.planar import gabriel_neighbors
 
     def planarize_sample():

@@ -1,9 +1,9 @@
 """Large-scale constant-density sweep: 2k up to 100k nodes, groups up to 100.
 
 The paper evaluates 1000-node deployments; this sweep stresses the
-implementation well beyond that regime, which is what the batched geometry
-kernels (:mod:`repro.perf.kernels`) and the struct-of-arrays network core
-exist for.
+implementation well beyond that regime, which is what the batched
+adjacency build (:mod:`repro.perf.kernels`) and the struct-of-arrays
+network core exist for.
 Density is held at the paper's Table-1 operating point — 1000 nodes per
 km² with the 150 m radio — by growing the field side as
 ``1000 m * sqrt(n / 1000)``, so per-node degree (and thus protocol

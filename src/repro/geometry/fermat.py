@@ -69,7 +69,7 @@ def fermat_point(a: Point, b: Point, c: Point) -> Point:
     value is the IEEE result of the same operations, in the same order, as
     the :mod:`repro.geometry.point` helpers it spells out (``distance``,
     ``angle_at``, ``rotate_about``, ``points_coincide``), which keeps it
-    bit-identical to ``perf.kernels.fermat_point_batch``.
+    bit-identical to composing those helpers.
     """
     ax = a[0]
     ay = a[1]

@@ -44,9 +44,10 @@ def distance(a: Point, b: Point) -> float:
 
     Computed as ``sqrt(dx*dx + dy*dy)`` rather than ``math.hypot``: IEEE-754
     multiply/add/sqrt are correctly rounded and therefore reproduced
-    bit-for-bit by the batched NumPy kernels (:mod:`repro.perf.kernels`),
-    whereas CPython's ``math.hypot`` and ``numpy.hypot`` use different
-    algorithms and disagree in the last ulp for ~0.6% of inputs.  Experiment
+    bit-for-bit by every inlined copy of this formula (rrSTR, the greedy
+    next-hop scans) and by NumPy, whereas CPython's ``math.hypot`` and
+    ``numpy.hypot`` use different algorithms and disagree in the last ulp
+    for ~0.6% of inputs.  Experiment
     coordinates are bounded (~1e3 m), so the squaring cannot over- or
     underflow.
     """

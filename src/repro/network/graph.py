@@ -44,16 +44,7 @@ from repro.geometry import Point
 from repro.network.node import SensorNode
 from repro.network.planar import gabriel_neighbors, rng_neighbors
 from repro.network.radio import RadioConfig
-from repro.perf.kernels import disk_mask, unit_disk_rows
-
-
-#: Minimum candidate count for a query to take the batched disk test.
-#: Measured break-even on the reference machine is ~50-90 candidates
-#: (gathering ~9 per-cell arrays costs more than the kernel saves below
-#: that), so radio-range neighbor queries at the paper's 400-1000
-#: nodes/km^2 densities stay on the scalar loop while wide-radius and
-#: dense-deployment queries batch.  Results are identical either way.
-_QUERY_BATCH_MIN = 96
+from repro.perf.kernels import unit_disk_rows
 
 
 class SpatialGrid:
@@ -79,8 +70,8 @@ class SpatialGrid:
         for idx, p in enumerate(self._points):
             self._cells.setdefault(self._cell_of(p), []).append(idx)
         # Tight per-cell bounds (min_x, min_y, max_x, max_y) over members,
-        # plus per-cell member coordinate arrays for the batched disk test
-        # (index array, xs, ys — aligned with the member list).
+        # plus per-cell member coordinate arrays (index array, xs, ys —
+        # aligned with the member list) that the shared plane packs.
         self._bounds: Dict[Tuple[int, int], Tuple[float, float, float, float]] = {}
         self._member_arrays: Dict[
             Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -258,14 +249,6 @@ class SpatialGrid:
         cells = self._cells
         bounds = self._bounds
         points = self._points
-        # Cells surviving the bounds prunes, in scan order.  ``True`` chunks
-        # are bulk-accepted whole; ``False`` chunks need per-point disk
-        # tests, which are deferred so the whole query runs ONE batched
-        # kernel call over the concatenated candidates (per-cell batches at
-        # operating density are ~20 points — below numpy dispatch
-        # break-even, so batching per cell is slower than the scalar loop).
-        chunks: List[Tuple[bool, Tuple[int, int]]] = []
-        tested_total = 0
         for gx in range(cx - reach, cx + reach + 1):
             inner_x = gx != cx - reach and gx != cx + reach
             for gy in range(cy - reach, cy + reach + 1):
@@ -295,49 +278,14 @@ class SpatialGrid:
                 far_dx = px - min_x if px - min_x > max_x - px else max_x - px
                 far_dy = py - min_y if py - min_y > max_y - py else max_y - py
                 if far_dx * far_dx + far_dy * far_dy <= radius_sq:
-                    chunks.append((True, (gx, gy)))
+                    hits.extend(members)
                     continue
-                chunks.append((False, (gx, gy)))
-                tested_total += len(members)
-        if tested_total >= _QUERY_BATCH_MIN:
-            member_arrays = self._member_arrays
-            tested = [cell for accept, cell in chunks if not accept]
-            if len(tested) == 1:
-                idx_all, xs_all, ys_all = member_arrays[tested[0]]
-                offsets = [0]
-            else:
-                parts = [member_arrays[cell] for cell in tested]
-                offsets = [0]
-                for p in parts[:-1]:
-                    offsets.append(offsets[-1] + len(p[0]))
-                idx_all = np.concatenate([p[0] for p in parts])
-                xs_all = np.concatenate([p[1] for p in parts])
-                ys_all = np.concatenate([p[2] for p in parts])
-            mask = disk_mask(xs_all, ys_all, px, py, radius_sq)
-            accepted = idx_all[mask].tolist()
-            counts = np.add.reduceat(mask.astype(np.intp), offsets).tolist()
-            pos = 0
-            tested_i = 0
-            for accept, cell in chunks:
-                if accept:
-                    hits.extend(cells[cell])
-                    continue
-                taken = counts[tested_i]
-                hits.extend(accepted[pos : pos + taken])
-                pos += taken
-                tested_i += 1
-            return hits
-        for accept, cell in chunks:
-            members = cells[cell]
-            if accept:
-                hits.extend(members)
-                continue
-            for idx in members:
-                p = points[idx]
-                dx = p[0] - px
-                dy = p[1] - py
-                if dx * dx + dy * dy <= radius_sq:
-                    hits.append(idx)
+                for idx in members:
+                    p = points[idx]
+                    dx = p[0] - px
+                    dy = p[1] - py
+                    if dx * dx + dy * dy <= radius_sq:
+                        hits.append(idx)
         return hits
 
 
@@ -629,7 +577,7 @@ class WirelessNetwork:
         Aligned with :meth:`neighbors_of`.  Built once per node and cached —
         every next-hop scan used to re-gather the same rows from
         :attr:`locations` on each forwarding decision, which dominated the
-        per-hop cost for the vectorized protocols.
+        per-hop cost of next-hop selection.
         """
         cached = self._neighbor_arrays[node_id]
         if cached is None:
@@ -873,9 +821,8 @@ class WirelessNetwork:
         """Whole-network Gabriel overlay as a CSR adjacency (lazily built).
 
         Shares the representation of the unit-disk adjacency: row ``i``
-        equals :meth:`gabriel_neighbors_of`, computed through the batched
-        keep-mask kernels when vectorization is on.  Invalidated as a whole
-        by any topology mutation.
+        equals :meth:`gabriel_neighbors_of`.  Invalidated as a whole by any
+        topology mutation.
         """
         if self._gabriel_csr is None:
             self._gabriel_csr = CSRAdjacency.from_rows(

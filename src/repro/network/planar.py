@@ -12,16 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry import Point, distance_sq, midpoint
-from repro.perf.kernels import MIN_BATCH, gabriel_keep_mask, rng_keep_mask
-
-
-def _neighbor_coords(
-    neighbor_ids: Sequence[int], location_of: Callable[[int], Point]
-) -> np.ndarray:
-    return np.array([location_of(v) for v in neighbor_ids], dtype=float)
 
 
 def gabriel_neighbors(
@@ -38,22 +29,17 @@ def gabriel_neighbors(
     exact, not an approximation.
     """
     u = location_of(node_id)
-    if len(neighbor_ids) >= MIN_BATCH:
-        mask = gabriel_keep_mask(u, _neighbor_coords(neighbor_ids, location_of))
-        return tuple(v for v, keep in zip(neighbor_ids, mask) if keep)
+    located = [(v_id, location_of(v_id)) for v_id in neighbor_ids]
     kept: List[int] = []
-    for v_id in neighbor_ids:
-        v = location_of(v_id)
-        center = midpoint(u, v)
-        radius_sq = distance_sq(u, v) / 4.0
-        witnessed = False
-        for w_id in neighbor_ids:
-            if w_id == v_id:
-                continue
-            if distance_sq(location_of(w_id), center) < radius_sq - 1e-12:
-                witnessed = True
+    for v_id, v in located:
+        cx, cy = midpoint(u, v)
+        limit = distance_sq(u, v) / 4.0 - 1e-12
+        for w_id, (wx, wy) in located:
+            dx = wx - cx
+            dy = wy - cy
+            if w_id != v_id and dx * dx + dy * dy < limit:
                 break
-        if not witnessed:
+        else:
             kept.append(v_id)
     return tuple(kept)
 
@@ -71,24 +57,14 @@ def rng_neighbors(
     ``u``'s neighbor table, so the local computation is exact.
     """
     u = location_of(node_id)
-    if len(neighbor_ids) >= MIN_BATCH:
-        mask = rng_keep_mask(u, _neighbor_coords(neighbor_ids, location_of))
-        return tuple(v for v, keep in zip(neighbor_ids, mask) if keep)
+    located = [(v_id, location_of(v_id)) for v_id in neighbor_ids]
+    from_u = [distance_sq(u, w) for _, w in located]
     kept: List[int] = []
-    for v_id in neighbor_ids:
-        v = location_of(v_id)
-        uv_sq = distance_sq(u, v)
-        witnessed = False
-        for w_id in neighbor_ids:
-            if w_id == v_id:
-                continue
-            w = location_of(w_id)
-            if (
-                distance_sq(u, w) < uv_sq - 1e-12
-                and distance_sq(v, w) < uv_sq - 1e-12
-            ):
-                witnessed = True
+    for v_id, v in located:
+        limit = distance_sq(u, v) - 1e-12
+        for (w_id, w), uw_sq in zip(located, from_u):
+            if w_id != v_id and uw_sq < limit and distance_sq(v, w) < limit:
                 break
-        if not witnessed:
+        else:
             kept.append(v_id)
     return tuple(kept)

@@ -1,6 +1,6 @@
 """Performance layer: instrumentation, hot-path caches, parallel fan-out.
 
-Three cooperating modules, none of which may change simulation *results*:
+Cooperating modules, none of which may change simulation *results*:
 
 * :mod:`repro.perf.counters` — process-local cache hit/miss counters and
   stage wall-time accounting (with an *injected* clock, so simulation code
@@ -11,10 +11,9 @@ Three cooperating modules, none of which may change simulation *results*:
 * :mod:`repro.perf.parallel` — a deterministic process-pool runner that
   shards independent work units and merges results in canonical submission
   order, guaranteeing parallel output identical to the serial run.
-* :mod:`repro.perf.kernels` — batched NumPy geometry kernels using the same
-  elementwise formulas as their scalar references, so many Fermat points /
-  reduction ratios / witness tests compute in one call with bit-identical
-  results.
+* :mod:`repro.perf.kernels` — the batched unit-disk adjacency build, with
+  the same inclusive disk test as its scalar reference, so a whole
+  deployment's neighbor rows compute in one call with identical results.
 """
 
 from repro.perf.cache import (
@@ -32,20 +31,7 @@ from repro.perf.counters import (
     PerfCounters,
     StageTimer,
 )
-from repro.perf.kernels import (
-    MIN_BATCH,
-    disk_mask,
-    distances_sq_to,
-    fermat_point_batch,
-    pairwise_distances,
-    gabriel_keep_mask,
-    group_distance_sums,
-    nearest_index,
-    pair_indices,
-    reduction_ratio_batch,
-    rng_keep_mask,
-    unit_disk_rows,
-)
+from repro.perf.kernels import unit_disk_rows
 from repro.perf.parallel import run_units
 
 __all__ = [
@@ -61,16 +47,5 @@ __all__ = [
     "PerfCounters",
     "StageTimer",
     "run_units",
-    "MIN_BATCH",
-    "disk_mask",
-    "distances_sq_to",
-    "fermat_point_batch",
-    "gabriel_keep_mask",
-    "group_distance_sums",
-    "nearest_index",
-    "pair_indices",
-    "pairwise_distances",
-    "reduction_ratio_batch",
-    "rng_keep_mask",
     "unit_disk_rows",
 ]

@@ -1,13 +1,16 @@
-"""Greedy geographic forwarding primitives shared by all protocols."""
+"""Greedy geographic forwarding primitives shared by all protocols.
+
+Each rule scans the node's neighbor table (locations read through the
+view, so a beacon-fed view answers from what it heard) in
+``neighbor_ids`` order; among equal distances the first neighbor wins.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.geometry import Point, distance
-from repro.perf import kernels
 from repro.routing.base import NodeView
 
 #: Strictness slack for progress comparisons: a neighbor must beat the
@@ -17,8 +20,16 @@ PROGRESS_EPSILON = 1e-9
 
 
 def total_distance(origin: Point, targets: Iterable[Point]) -> float:
-    """Sum of Euclidean distances from ``origin`` to each target."""
-    return sum(distance(origin, t) for t in targets)
+    """Sum of Euclidean distances from ``origin`` to each target.
+
+    Summed left to right with ``+=``, so every total GMP compares has one
+    summation order on every CPython (``sum`` of floats is compensated
+    from 3.12 on).
+    """
+    total = 0.0
+    for target in targets:
+        total += distance(origin, target)
+    return total
 
 
 def closest_neighbor_to(view: NodeView, target: Point) -> Optional[int]:
@@ -26,7 +37,16 @@ def closest_neighbor_to(view: NodeView, target: Point) -> Optional[int]:
     ids = view.neighbor_ids
     if not ids:
         return None
-    return ids[kernels.nearest_index(view.neighbor_location_array(), target)]
+    tx, ty = target[0], target[1]
+    best = 0
+    best_sq = math.inf
+    for index, (x, y) in enumerate(view.neighbor_location_array().tolist()):
+        dx = x - tx
+        dy = y - ty
+        dist_sq = dx * dx + dy * dy
+        if dist_sq < best_sq:
+            best, best_sq = index, dist_sq
+    return ids[best]
 
 
 def greedy_next_hop(view: NodeView, target: Point) -> Optional[int]:
@@ -38,21 +58,18 @@ def greedy_next_hop(view: NodeView, target: Point) -> Optional[int]:
     ids = view.neighbor_ids
     if not ids:
         return None
-    dists = np.sqrt(kernels.distances_sq_to(view.neighbor_location_array(), target))
-    own = distance(view.location, target)
-    best_idx = int(np.argmin(dists))
-    if dists[best_idx] < own - PROGRESS_EPSILON:
-        return ids[best_idx]
+    tx, ty = target[0], target[1]
+    best = 0
+    best_dist = math.inf
+    for index, (x, y) in enumerate(view.neighbor_location_array().tolist()):
+        dx = x - tx
+        dy = y - ty
+        dist = math.sqrt(dx * dx + dy * dy)
+        if dist < best_dist:
+            best, best_dist = index, dist
+    if best_dist < distance(view.location, target) - PROGRESS_EPSILON:
+        return ids[best]
     return None
-
-
-def group_distance_sums(view: NodeView, group_locations: Sequence[Point]) -> np.ndarray:
-    """Per-neighbor sums of distances to every location in the group.
-
-    Vectorized backbone of GMP/PBM next-hop selection: entry ``i`` is
-    ``sum_z d(neighbor_i, z)`` aligned with ``view.neighbor_ids``.
-    """
-    return kernels.group_distance_sums(view.neighbor_location_array(), group_locations)
 
 
 def best_neighbor_for_group(
@@ -65,15 +82,18 @@ def best_neighbor_for_group(
     The neighbor nearest to the pivot, among neighbors whose *total*
     distance to the group's destinations is strictly smaller than the
     current node's — the strict decrease is what rules out routing loops.
+    A neighbor no nearer the pivot than the best so far cannot win, so its
+    total is never summed.
     """
     ids = view.neighbor_ids
-    if not ids:
-        return None
-    sums = group_distance_sums(view, group_locations)
-    threshold = total_distance(view.location, group_locations)
-    eligible = np.flatnonzero(sums < threshold - PROGRESS_EPSILON)
-    if eligible.size == 0:
-        return None
-    locations = view.neighbor_location_array()[eligible]
-    pivot_dists = kernels.distances_sq_to(locations, pivot_location)
-    return ids[int(eligible[int(np.argmin(pivot_dists))])]
+    threshold = total_distance(view.location, group_locations) - PROGRESS_EPSILON
+    px, py = pivot_location[0], pivot_location[1]
+    best = None
+    best_sq = math.inf
+    for neighbor, (x, y) in zip(ids, view.neighbor_location_array().tolist()):
+        dx = x - px
+        dy = y - py
+        dist_sq = dx * dx + dy * dy
+        if dist_sq < best_sq and total_distance(Point(x, y), group_locations) < threshold:
+            best, best_sq = neighbor, dist_sq
+    return best

@@ -32,23 +32,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry import Point, distance, nearly_equal_points
 from repro.geometry.fermat import weiszfeld_point
 from repro.perf.cache import cached_fermat_point
-from repro.perf.kernels import pair_indices, pairwise_distances, reduction_ratio_batch
 from repro.steiner.reduction_ratio import reduction_ratio_point
 from repro.steiner.tree import SteinerTree, VertexKind
-
-#: Groups of at least this many destinations seed the merge heap and build
-#: each re-parent sub-pass's distance matrix with the NumPy kernels;
-#: smaller groups, nearly all of GMP's per-hop trees, run the scalar loops
-#: throughout.  Trees are identical either way.  This is the measured
-#: per-tree crossover (docs/PERFORMANCE.md).  The other pair evaluations
-#: (re-pairing after a merge, sibling-pair insertion) come in batches too
-#: small to repay a kernel call at any group size, so they stay scalar.
-RRSTR_MIN_GROUP = 16
 
 #: Heap key guaranteed to sort after every true pair's key (-RR <= ~0) so
 #: that self-pairs are consumed only when nothing better remains.
@@ -120,10 +108,10 @@ def rrstr(
     cfg = config or RRStrConfig()
     if radio_range <= 0:
         raise ValueError(f"radio range must be positive, got {radio_range}")
-    # The NumPy kernels return float coordinates where the scalar paths keep
-    # the caller's type, so integer input would make a tree's ``repr``
-    # depend on the size gates.  Coercing at entry rules that out; it is the
-    # identity on float input (every routing caller's).
+    # Coercing at entry makes every tree coordinate a float: a tree built
+    # from integer input equals, ``repr`` included, the one built from the
+    # equal floats.  It is the identity on float input (every routing
+    # caller's).
     source_location = _float_point(source_location)
     destinations = [(ref, _float_point(location)) for ref, location in destinations]
     tree = SteinerTree(source_location)
@@ -132,7 +120,6 @@ def rrstr(
 
     s = source_location
     vertices = tree._vertices
-    vectorize = len(destinations) >= RRSTR_MIN_GROUP
     tolerance = cfg.collocation_tolerance
     active = {}
     # Heap entries carry the Steiner point as two plain floats: the
@@ -161,34 +148,18 @@ def rrstr(
         terminal_vids.append(vid)
         active[vid] = True
 
-    # Seed the merge heap: all k*(k-1)/2 destination pairs, in one batched
-    # kernel evaluation for groups at or above the gate (pair_indices
-    # matches the nested-loop order below).
-    # Entries carry a unique sequence tie-break, so their pop order is their
-    # *sorted* order no matter how the heap was built — one heapify over the
-    # full seed list replaces k*(k+1)/2 heappush calls without changing any
-    # pop.
-    k = len(terminal_vids)
-    seeded: Optional[List[Tuple[float, Sequence[float]]]] = None
-    if vectorize:
-        locs = np.array([vertices[v].location for v in terminal_vids], dtype=float)
-        row, col = pair_indices(k)
-        rr_arr, t_arr = reduction_ratio_batch(s, locs[row], locs[col])
-        seeded = list(zip(rr_arr.tolist(), t_arr.tolist()))
-    pair_pos = 0
+    # Seed the merge heap: all k*(k-1)/2 destination pairs.  Entries carry a
+    # unique sequence tie-break, so their pop order is their *sorted* order
+    # no matter how the heap was built — one heapify over the full seed
+    # list replaces k*(k+1)/2 heappush calls without changing any pop.
     for i, u_vid in enumerate(terminal_vids):
         u_loc = vertices[u_vid].location
         heap.append((_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1]))
         sequence += 1
         for v_vid in terminal_vids[i + 1 :]:
-            if seeded is None:
-                rr, steiner = reduction_ratio_point(s, u_loc, vertices[v_vid].location)
-                sx, sy = steiner[0], steiner[1]
-            else:
-                rr, (sx, sy) = seeded[pair_pos]
-            heap.append((-rr, sequence, u_vid, v_vid, sx, sy))
+            rr, steiner = reduction_ratio_point(s, u_loc, vertices[v_vid].location)
+            heap.append((-rr, sequence, u_vid, v_vid, steiner[0], steiner[1]))
             sequence += 1
-            pair_pos += 1
     heapq.heapify(heap)
 
     dead_pairs = set()
@@ -325,9 +296,6 @@ def refine_tree(
     vertices = tree._vertices
     parent_of = tree._parent
     children = tree._children
-    vectorize = (
-        sum(1 for v in vertices if v.kind is VertexKind.TERMINAL) >= RRSTR_MIN_GROUP
-    )
     dead: set = set()
     # Star -> optimal-point memo shared across relocate passes: the target
     # is a pure function of the star's locations, so unchanged stars (the
@@ -356,7 +324,7 @@ def refine_tree(
                 tree._link(parent, child)
                 dead.add(vid)
                 improved = True
-        if _reparent(tree, dead, max_stretch, vectorize):
+        if _reparent(tree, dead, max_stretch):
             improved = True
         if _insert_virtuals(tree, dead, radio_range):
             improved = True
@@ -365,9 +333,7 @@ def refine_tree(
     return _rebuild_without(tree, dead)
 
 
-def _reparent(
-    tree: SteinerTree, dead: set, max_stretch: float, vectorize: bool
-) -> bool:
+def _reparent(tree: SteinerTree, dead: set, max_stretch: float) -> bool:
     """The re-parent sub-pass of :func:`refine_tree`; True if anything moved.
 
     Vertices are visited in vid order and each probes its candidates in vid
@@ -379,7 +345,7 @@ def _reparent(
     """
     parent_of = tree._parent
     n = len(tree._vertices)
-    radial, edge_len, near, near_len = _scan_inputs(tree, vectorize)
+    radial, edge_len, near, near_len = _scan_inputs(tree)
     path_cache: Dict[int, float] = {}
 
     def root_path(path_vid: int) -> float:
@@ -445,7 +411,7 @@ def _reparent(
 
 
 def _scan_inputs(
-    tree: SteinerTree, vectorize: bool
+    tree: SteinerTree,
 ) -> Tuple[List[float], List[float], List[List[int]], List[List[float]]]:
     """Distances the re-parent scan reads, as Python floats.
 
@@ -455,29 +421,11 @@ def _scan_inputs(
     list can ever pass the scan's ``length >= best_len - 1e-9`` filter,
     because ``best_len`` starts at the parent edge and only decreases.
     Unattached vertices get no candidates.  Every value is
-    ``distance(location_i, location_j)`` to the bit, on either path.
+    ``distance(location_i, location_j)`` to the bit.
     """
     locations = [v.location for v in tree._vertices]
     parents = tree._parent
     n = len(locations)
-    if vectorize:
-        matrix = pairwise_distances(np.array(locations, dtype=float))
-        parent_idx = np.array(parents)
-        attached = parent_idx >= 0
-        edge_arr = np.zeros(n)
-        edge_arr[attached] = matrix[attached, parent_idx[attached]]
-        nearer = matrix < (edge_arr - 1e-9)[:, None]
-        nearer[~attached] = False
-        rows, cols = np.nonzero(nearer)
-        cut = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        flat_cols = cols.tolist()
-        flat_lens = matrix[rows, cols].tolist()
-        return (
-            matrix[:, 0].tolist(),
-            edge_arr.tolist(),
-            [flat_cols[cut[i] : cut[i + 1]] for i in range(n)],
-            [flat_lens[cut[i] : cut[i + 1]] for i in range(n)],
-        )
     # The matrix is symmetric to the bit (``dx`` and ``-dx`` square alike),
     # so one evaluation fills both halves.
     rows_py = [[0.0] * n for _ in range(n)]

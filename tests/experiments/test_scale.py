@@ -15,7 +15,6 @@ from repro.experiments.scale import (
     scaled_config,
 )
 from repro.perf.shm import shared_plane_disabled
-from tests.conftest import scalar_gates
 
 #: Small enough for tier-1 wall clock, large enough to shard across workers.
 _TINY = ScaleSweepScale(
@@ -99,11 +98,12 @@ class TestScaleSweep:
             )
         assert rebuilt.digest() == sweep.digest()
 
-    def test_vectorized_off_bit_identical(self, sweep):
-        """Every kernel call site on its scalar loop: same digest."""
-        with scalar_gates():
-            scalar = run_scale_sweep(PaperConfig(), _TINY, include_grd=False)
-        assert scalar.digest() == sweep.digest()
+    def test_tiny_sweep_digest_is_pinned(self, sweep):
+        """Pinned: a change to any next-hop, planarization, grid-query or
+        rrSTR result in GMP or LGS shows up here."""
+        assert sweep.digest() == (
+            "0338d694aadcb843e09a4515d795f3b637c4c421c921f5bdc8f29512a043568c"
+        )
 
     def test_digest_sensitive_to_results(self, sweep):
         other_scale = dataclasses.replace(_TINY, tasks_per_cell=1)

@@ -5,6 +5,9 @@ invariants matter: symmetry, RNG-subset-of-Gabriel, planarity (no two
 overlay edges cross), and connectivity preservation.
 """
 
+import math
+import random
+
 import networkx as nx
 import pytest
 
@@ -97,3 +100,48 @@ class TestRNG:
         rng_set = rng_neighbors(0, (1, 2), lambda i: [u, v, w][i])
         assert 1 in gabriel
         assert 1 not in rng_set
+
+
+def _neighbor_clusters(seed: int, clusters: int) -> list:
+    """Random radio neighborhoods: a center plus its in-range neighbors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(clusters):
+        u = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+        neighbors = []
+        for _ in range(rng.randint(1, 35)):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            r = rng.uniform(0.0, 150.0)
+            neighbors.append(Point(u.x + r * math.cos(theta), u.y + r * math.sin(theta)))
+        out.append((u, neighbors))
+    return out
+
+
+def test_planarization_matches_witness_transcriptions():
+    """Both overlays keep exactly the edges an independent transcription of
+    the witness tests keeps, over 1000+ random edges."""
+    edges = 0
+    for u, neighbors in _neighbor_clusters(13, 100):
+        locations = [u] + neighbors
+        ids = tuple(range(1, len(locations)))
+        gabriel = gabriel_neighbors(0, ids, locations.__getitem__)
+        rng_kept = rng_neighbors(0, ids, locations.__getitem__)
+        for v_id in ids:
+            v = locations[v_id]
+            witnesses = [w for w_id, w in enumerate(locations) if w_id not in (0, v_id)]
+            center = Point((u.x + v.x) / 2.0, (u.y + v.y) / 2.0)
+            radius_sq = ((u.x - v.x) ** 2 + (u.y - v.y) ** 2) / 4.0
+            g_witnessed = any(
+                (w.x - center.x) ** 2 + (w.y - center.y) ** 2 < radius_sq - 1e-12
+                for w in witnesses
+            )
+            assert (v_id in gabriel) == (not g_witnessed)
+            uv_sq = (u.x - v.x) ** 2 + (u.y - v.y) ** 2
+            r_witnessed = any(
+                (u.x - w.x) ** 2 + (u.y - w.y) ** 2 < uv_sq - 1e-12
+                and (v.x - w.x) ** 2 + (v.y - w.y) ** 2 < uv_sq - 1e-12
+                for w in witnesses
+            )
+            assert (v_id in rng_kept) == (not r_witnessed)
+        edges += len(ids)
+    assert edges >= 1000

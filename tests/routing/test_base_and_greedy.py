@@ -1,16 +1,16 @@
 """Tests for the NodeView locality boundary and greedy primitives."""
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.geometry import Point
+from repro.geometry import Point, distance
 from repro.packets import Destination
 from repro.routing.base import ForwardDecision, NodeView, merge_decisions
 from repro.routing.greedy import (
     best_neighbor_for_group,
     closest_neighbor_to,
     greedy_next_hop,
-    group_distance_sums,
     total_distance,
 )
 from tests.conftest import make_line_network
@@ -76,13 +76,13 @@ class TestGreedyPrimitives:
         net = network_from_points([Point(0, 0)])
         assert greedy_next_hop(view_of(net, 0), Point(10, 10)) is None
 
-    def test_group_distance_sums_matches_bruteforce(self, dense_network):
-        view = view_of(dense_network, 5)
-        group = [dense_network.location_of(i) for i in (40, 80, 120)]
-        sums = group_distance_sums(view, group)
-        for value, nid in zip(sums, view.neighbor_ids):
-            expected = total_distance(dense_network.location_of(nid), group)
-            assert value == pytest.approx(expected)
+    def test_total_distance_sums_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, so the order of the additions shows.
+        origin = Point(0.0, 0.0)
+        targets = [Point(1e16, 0.0)] + [Point(0.0, 1.0)] * 4
+        assert total_distance(origin, targets) == 1e16
+        assert math.fsum(distance(origin, t) for t in targets) == 1e16 + 4.0
+        assert total_distance(origin, []) == 0.0
 
     def test_best_neighbor_for_group_requires_sum_decrease(self):
         # The neighbor nearest the pivot is behind; only a forward neighbor

@@ -2,14 +2,10 @@
 
 ``rrstr_oracle`` keeps the construction as it was before the refinement
 moved to flat arrays and inlined geometry.  Every tree must match it in
-vids, kinds, location ``repr``, refs, parents and child order, with the
-kernels gated as shipped, forced off everywhere (``scalar_gates``), and
-forced on for every group size.
+vids, kinds, location ``repr``, refs, parents and child order.
 """
 
 from __future__ import annotations
-
-import importlib
 
 import numpy as np
 import pytest
@@ -19,7 +15,6 @@ from repro.perf.cache import clear_caches
 from repro.sessions import ZipfGroups
 from repro.steiner.rrstr import RRStrConfig, refine_tree, rrstr
 from repro.steiner.tree import SteinerTree
-from tests.conftest import scalar_gates
 from tests.steiner.rrstr_oracle import oracle_refine_tree, oracle_rrstr
 
 #: The session workloads' group-size law.
@@ -28,8 +23,6 @@ GROUP_COUNT = 1000
 RADIO_RANGE = 150.0
 #: Even groups build the paper's radio-aware GMP tree, odd ones GMPnr's.
 CONFIGS = (RRStrConfig(radio_aware=True), RRStrConfig(radio_aware=False))
-
-rrstr_module = importlib.import_module("repro.steiner.rrstr")
 
 
 def signature(tree):
@@ -81,25 +74,17 @@ def expected(groups):
     ]
 
 
-def test_groups_span_the_gate(groups):
+def test_groups_span_the_size_law(groups):
     sizes = [len(d) for _, d in groups]
     assert min(sizes) == 2 and max(sizes) >= 30
-    assert sum(k >= rrstr_module.RRSTR_MIN_GROUP for k in sizes) >= 20
+    assert sum(k >= 16 for k in sizes) >= 20
 
 
-@pytest.mark.parametrize("gates", ["default", "scalar", "kernels"])
-def test_trees_match_oracle(groups, expected, gates, monkeypatch):
-    if gates == "kernels":
-        monkeypatch.setattr(rrstr_module, "RRSTR_MIN_GROUP", 0)
+def test_trees_match_oracle(groups, expected):
     clear_caches()
     for index, (s, d) in enumerate(groups):
-        config = CONFIGS[index % 2]
-        if gates == "scalar":
-            with scalar_gates():
-                tree = rrstr(s, d, RADIO_RANGE, config)
-        else:
-            tree = rrstr(s, d, RADIO_RANGE, config)
-        assert signature(tree) == expected[index], (gates, index)
+        tree = rrstr(s, d, RADIO_RANGE, CONFIGS[index % 2])
+        assert signature(tree) == expected[index], index
 
 
 def test_refine_tree_matches_oracle_on_hand_built_trees():
@@ -126,26 +111,19 @@ def test_refine_tree_matches_oracle_on_hand_built_trees():
         )
 
 
-def test_integer_grid_group_is_gate_independent():
-    """Integer coordinates give the same tree, ``repr`` included, on both
-    sides of the size gates, and with the kernels forced on for every group:
-    rrSTR coerces its input to float at entry."""
+def test_integer_grid_group_builds_float_tree():
+    """Integer coordinates give the tree of the equal floats, ``repr``
+    included: rrSTR coerces its input to float at entry."""
     rng = np.random.default_rng(62)
     cells = rng.choice(21 * 21, size=63, replace=False)
     points = [Point(int(c % 21) * 50, int(c // 21) * 50) for c in cells]
-    source, destinations = points[0], list(enumerate(points[1:]))
-    assert len(destinations) == 62 >= rrstr_module.RRSTR_MIN_GROUP
+    floats = [Point(float(p.x), float(p.y)) for p in points]
     for config in CONFIGS:
         clear_caches()
-        default = signature(rrstr(source, destinations, RADIO_RANGE, config))
-        with scalar_gates():
-            clear_caches()
-            scalar = signature(rrstr(source, destinations, RADIO_RANGE, config))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rrstr_module, "RRSTR_MIN_GROUP", 0)
-            clear_caches()
-            kernels = signature(rrstr(source, destinations, RADIO_RANGE, config))
-        assert default == scalar == kernels
+        ints = signature(rrstr(points[0], list(enumerate(points[1:])), RADIO_RANGE, config))
+        clear_caches()
+        same = signature(rrstr(floats[0], list(enumerate(floats[1:])), RADIO_RANGE, config))
+        assert ints == same
         assert all(
-            "." in x and "." in y for _, _, x, y, *_ in default
+            "." in x and "." in y for _, _, x, y, *_ in ints
         ), "every vertex coordinate is a float"
