@@ -32,6 +32,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import render_figure_table, render_ratio_summary
 from repro.perf.counters import GLOBAL_COUNTERS, StageTimer
+from repro.perf.parallel import retire_pool
 from repro.sessions.store import CheckpointError
 
 ProgressFn = Callable[[str], None]
@@ -571,6 +572,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     outcome = _FAMILIES[args.command](args, config, progress)
+    # The command is the worker pool's scope; joining the workers here also
+    # lets the peak-RSS report count them (only reaped children count).
+    retire_pool()
     # Deterministic results on stdout (CI byte-diffs them); memory, perf
     # and file telemetry on stderr only.
     for block in outcome.blocks:

@@ -28,6 +28,9 @@ from repro.network.graph import WirelessNetwork
 from repro.network.planar import gabriel_neighbors
 from repro.routing.base import NodeView
 
+#: Gabriel subsets keyed on ``(node id, live neighbor ids)``.
+PlanarMemo = Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]]
+
 
 class NeighborTable:
     """One node's soft-state neighbor map: id -> (location, last-heard)."""
@@ -73,10 +76,12 @@ class BeaconNodeView(NodeView):
 
     The node's *own* id/location still come from the network (a node always
     knows where it is); everything about other nodes comes from the table as
-    it stood at construction time.
+    it stood at construction time.  ``planar_memo``, when given, shares
+    Gabriel subsets across views keyed on ``(node id, neighbor ids)``; a
+    subset is computed only when a protocol first asks for it.
     """
 
-    __slots__ = ("_ids", "_locations", "_array", "_planar")
+    __slots__ = ("_ids", "_locations", "_array", "_planar", "_planar_memo")
 
     def __init__(
         self,
@@ -84,12 +89,14 @@ class BeaconNodeView(NodeView):
         node_id: int,
         neighbor_ids: Tuple[int, ...],
         locations: Dict[int, Point],
+        planar_memo: Optional[PlanarMemo] = None,
     ) -> None:
         super().__init__(network, node_id)
         self._ids = neighbor_ids
         self._locations = locations
         self._array: Optional[np.ndarray] = None
         self._planar: Optional[Tuple[int, ...]] = None
+        self._planar_memo = planar_memo
 
     @property
     def neighbor_ids(self) -> Tuple[int, ...]:
@@ -98,9 +105,14 @@ class BeaconNodeView(NodeView):
     @property
     def planar_neighbor_ids(self) -> Tuple[int, ...]:
         if self._planar is None:
-            self._planar = gabriel_neighbors(
-                self.node_id, self._ids, self.location_of
-            )
+            memo = self._planar_memo
+            key = (self.node_id, self._ids)
+            planar = None if memo is None else memo.get(key)
+            if planar is None:
+                planar = gabriel_neighbors(self.node_id, self._ids, self.location_of)
+                if memo is not None:
+                    memo[key] = planar
+            self._planar = planar
         return self._planar
 
     def location_of(self, neighbor_id: int) -> Point:
@@ -158,7 +170,7 @@ class BeaconService:
         ]
         #: Gabriel subsets are pure in (node, live-id set) for a static
         #: deployment, so they are memoized across view constructions.
-        self._planar_memo: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
+        self._planar_memo: PlanarMemo = {}
         if warm_start:
             self._warm_start()
 
@@ -197,13 +209,6 @@ class BeaconService:
     def view(self, node_id: int, now_s: float) -> BeaconNodeView:
         """The node's routing view as its beacon table stands at ``now_s``."""
         locations = self._tables[node_id].live_locations(now_s, self._expiry_s)
-        ids = tuple(locations)
-        view = BeaconNodeView(self._network, node_id, ids, locations)
-        memo_key = (node_id, ids)
-        planar = self._planar_memo.get(memo_key)
-        if planar is None:
-            planar = view.planar_neighbor_ids
-            self._planar_memo[memo_key] = planar
-        else:
-            view._planar = planar
-        return view
+        return BeaconNodeView(
+            self._network, node_id, tuple(locations), locations, self._planar_memo
+        )

@@ -9,8 +9,9 @@ Cooperating modules, none of which may change simulation *results*:
   keyed on exact coordinate tuples so a hit is bit-identical to a fresh
   computation.
 * :mod:`repro.perf.parallel` — a deterministic process-pool runner that
-  shards independent work units and merges results in canonical submission
-  order, guaranteeing parallel output identical to the serial run.
+  shards independent work units over one reusable worker pool and merges
+  results in canonical submission order, guaranteeing parallel output
+  identical to the serial run.
 * :mod:`repro.perf.kernels` — the batched unit-disk adjacency build, with
   the same inclusive disk test as its scalar reference, so a whole
   deployment's neighbor rows compute in one call with identical results.

@@ -24,6 +24,7 @@ from typing import Dict, Iterator, Tuple
 from repro.geometry.fermat import fermat_point
 from repro.geometry.point import Point
 from repro.perf.counters import GLOBAL_COUNTERS
+from repro.perf.parallel import retire_pool
 
 _ENABLED = True
 
@@ -57,8 +58,14 @@ def caches_disabled() -> Iterator[None]:
 
 
 def clear_caches() -> None:
-    """Drop all memoized geometry (counters are left alone)."""
+    """Drop all memoized geometry (counters are left alone).
+
+    Also retires the shared worker pool (:func:`repro.perf.parallel.retire_pool`):
+    its workers hold memos of their own, so the next pooled call forks
+    fresh ones from the cleared parent.
+    """
     _FERMAT_CACHE.clear()
+    retire_pool()
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:

@@ -17,14 +17,39 @@ pool initializer additionally hands every worker the plane's manifests, and
 ``cached_network`` *attaches* the parent's deployments zero-copy instead of
 rebuilding them — results are byte-identical either way (the plane maps the
 exact bytes a fresh build produces).
+
+One pool per scope.  :func:`run_units` and :func:`stream_units` share one
+process-wide pool, with these lifetime rules:
+
+* **Creation** — lazily, on the first pooled call, with the ``fork`` start
+  method where the platform has it.  The parent has built its deployments
+  by then, so the workers inherit them; spawn-only platforms rebuild them
+  per worker, with identical output.
+* **Reuse** — every later pooled call whose fork-time inputs still hold:
+  the same ``workers`` and the same plane with the same published keys
+  (the manifests that went through the initializer).
+* **Retirement** — shutdown plus join, by :func:`retire_pool`: when those
+  inputs change, from :func:`repro.perf.cache.clear_caches` (workers hold
+  the memos it resets, and anything patched into the parent since the
+  fork), when the plane the pool was forked with closes, when a caller
+  ends its scope (every CLI command does), and at interpreter exit.
+
+Pooled calls run one at a time: a stream abandoned mid-way cancels its
+queued units, and a unit still running when the next call starts finishes
+first, its result discarded.  A child process never uses a pool it
+inherited by fork.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+from collections import deque
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -34,9 +59,17 @@ from typing import (
 )
 
 if TYPE_CHECKING:
-    from repro.perf.shm import PlaneManifest, SharedNetworkPlane
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.perf.shm import SharedNetworkPlane
 
 ProgressFn = Callable[[str], None]
+
+#: The live pool, the ``(workers, plane, published keys)`` it was forked
+#: with, and the pid that owns it (a forked child inherits these globals).
+_POOL: "Optional[ProcessPoolExecutor]" = None
+_POOL_KEY: Optional[Tuple[int, Any, Tuple[Hashable, ...]]] = None
+_POOL_PID = 0
 
 
 def uses_pool(workers: int, unit_count: int) -> bool:
@@ -44,21 +77,95 @@ def uses_pool(workers: int, unit_count: int) -> bool:
     return workers > 1 and unit_count > 1
 
 
-def _plane_initializer(
-    plane: "Optional[SharedNetworkPlane]",
-) -> Tuple[Optional[Callable[..., None]], Tuple[Any, ...]]:
-    """``(initializer, initargs)`` publishing a plane's manifests to workers.
+def start_context() -> Any:
+    """The ``fork`` context where fork exists, else the platform default.
 
-    ``(None, ())`` — a no-op initializer — when no plane was provided or
-    nothing is published on it, so pools behave exactly as before the
-    shared-memory plane existed.
+    Explicit, so a platform whose default start method changes (CPython
+    3.14 moves Linux to forkserver) keeps inheriting the parent's
+    deployments instead of quietly rebuilding them in every worker.
     """
-    if plane is None or not plane.active:
-        return None, ()
-    from repro.perf.shm import install_worker_manifests
+    import multiprocessing
 
-    manifests: "dict[Any, PlaneManifest]" = plane.manifests()
-    return install_worker_manifests, (manifests,)
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+def retire_pool(plane: "Optional[SharedNetworkPlane]" = None) -> None:
+    """Shut the shared pool down and join its workers.
+
+    With ``plane``, only a pool forked with that plane is retired.  A no-op
+    when no pool is live; a pool inherited from a forking parent is
+    dropped, never shut down, since its workers belong to that parent.
+    """
+    global _POOL, _POOL_KEY
+    pool, key = _POOL, _POOL_KEY
+    if pool is None or key is None or (plane is not None and key[1] is not plane):
+        return
+    _POOL, _POOL_KEY = None, None
+    if _POOL_PID == os.getpid():
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+atexit.register(retire_pool)
+
+
+def _pool(workers: int, plane: "Optional[SharedNetworkPlane]") -> "ProcessPoolExecutor":
+    """The shared pool for these fork-time inputs, forked on first use."""
+    global _POOL, _POOL_KEY, _POOL_PID
+    if plane is not None and plane.active:
+        from repro.perf.shm import install_worker_manifests
+
+        manifests = plane.manifests()
+        key: Tuple[int, Any, Tuple[Hashable, ...]] = (workers, plane, tuple(manifests))
+        initializer: Optional[Callable[..., None]] = install_worker_manifests
+        initargs: Tuple[Any, ...] = (manifests,)
+    else:
+        key, initializer, initargs = (workers, None, ()), None, ()
+    if _POOL is not None and _POOL_PID == os.getpid() and _POOL_KEY == key:
+        return _POOL
+    retire_pool()
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=start_context(),
+        initializer=initializer,
+        initargs=initargs,
+    )
+    _POOL, _POOL_KEY, _POOL_PID = pool, key, os.getpid()
+    return pool
+
+
+def _pooled(
+    fn: Callable[..., Any],
+    args_iter: Iterable[Tuple[Any, ...]],
+    workers: int,
+    window: int,
+    plane: "Optional[SharedNetworkPlane]",
+) -> Iterator[Any]:
+    """``fn(*args)`` on the shared pool, at most ``window`` units in flight.
+
+    Yields in submission order — the canonical merge order; completion
+    order (which is scheduling-dependent) never influences output.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _pool(workers, plane)
+    pending: "deque[Future[Any]]" = deque()
+    try:
+        for args in args_iter:
+            while len(pending) >= window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool:
+        retire_pool()
+        raise
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def run_units(
@@ -72,8 +179,7 @@ def run_units(
 
     Args:
         fn: A picklable module-level function (executed in-process when
-            ``workers <= 1``, in a :class:`~concurrent.futures.ProcessPoolExecutor`
-            otherwise).
+            ``workers <= 1``, on the shared process pool otherwise).
         args_list: One picklable argument tuple per unit.
         workers: Process count; ``<= 1`` means serial in-process execution.
         progress: Optional callback, invoked once per completed unit.
@@ -85,31 +191,15 @@ def run_units(
         ``[fn(*args) for args in args_list]`` — bit-identical regardless of
         ``workers``.
     """
-
-    def say(index: int) -> None:
+    if uses_pool(workers, len(args_list)):
+        outputs: Iterable[Any] = _pooled(fn, args_list, workers, len(args_list), plane)
+    else:
+        outputs = (fn(*args) for args in args_list)
+    results = []
+    for index, result in enumerate(outputs):
+        results.append(result)
         if progress is not None:
             progress(f"unit {index + 1} done ({index + 1}/{len(args_list)})")
-
-    if not uses_pool(workers, len(args_list)):
-        results = []
-        for index, args in enumerate(args_list):
-            results.append(fn(*args))
-            say(index)
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    initializer, initargs = _plane_initializer(plane)
-    results = [None] * len(args_list)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        # Collect by submission index — canonical merge order; completion
-        # order (which is scheduling-dependent) never influences output.
-        for index, future in enumerate(futures):
-            results[index] = future.result()
-            say(index)
     return results
 
 
@@ -150,22 +240,6 @@ def stream_units(
         for args in args_iter:
             yield fn(*args)
         return
-
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-
     if window <= 0:
         window = 4 * workers
-    window = max(window, workers)
-    initializer, initargs = _plane_initializer(plane)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        pending: "deque[Any]" = deque()
-        for args in args_iter:
-            while len(pending) >= window:
-                # Head-of-line first: submission order is the fold order.
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, *args))
-        while pending:
-            yield pending.popleft().result()
+    yield from _pooled(fn, args_iter, workers, max(window, workers), plane)

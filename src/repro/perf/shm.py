@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.network.graph import WirelessNetwork, attach_shared_network
 from repro.perf.counters import GLOBAL_COUNTERS
+from repro.perf.parallel import retire_pool
 
 if TYPE_CHECKING:
     from multiprocessing.shared_memory import SharedMemory
@@ -394,9 +395,11 @@ class SharedNetworkPlane:
         return self._nbytes
 
     def close(self) -> None:
-        """Unlink every owned segment; idempotent, safe with live views."""
+        """Retire the pool forked with this plane, then unlink every owned
+        segment; idempotent, safe with live views."""
         if self._closed:
             return
+        retire_pool(self)
         self._closed = True
         for segment in self._segments:
             _release_segment(segment)

@@ -8,6 +8,18 @@ import pytest
 from repro.geometry import Point
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
+from repro.perf.parallel import retire_pool
+
+
+@pytest.fixture(autouse=True)
+def _fresh_worker_pool():
+    """Retire the shared worker pool after every test.
+
+    Pool workers are forked once and reused, so without this a test's
+    monkeypatches or ``sys.path`` would live on in a later test's workers.
+    """
+    yield
+    retire_pool()
 
 
 def make_line_network(node_count: int, spacing: float, radio_range: float = 150.0):

@@ -1,6 +1,7 @@
 """Tests for the command-line harness."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -153,6 +154,13 @@ class TestPeakRssReport:
         assert "largest worker 56 MiB" in message
         assert "shared=12 MiB" in message
         assert "counted once" in message
+
+    def test_pooled_command_joins_its_workers_before_reporting(self, capsys):
+        argv = ["figure11", "--scale", "smoke", "--nodes", "350", "--workers", "2"]
+        assert main(argv) == 0
+        # Only reaped workers count toward the report's worker component.
+        assert multiprocessing.active_children() == []
+        assert "largest worker" in capsys.readouterr().err
 
 
 class TestSharedPlaneFlag:

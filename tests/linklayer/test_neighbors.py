@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point
+from repro.linklayer import neighbors
 from repro.linklayer.neighbors import BeaconService, NeighborTable
 from repro.routing.base import NodeView
 from tests.conftest import make_grid_network, make_line_network
@@ -97,7 +98,60 @@ class TestSoftState:
         second = service.view(5, 1.0).planar_neighbor_ids  # memoized path
         assert first == second
 
+    def test_planar_subset_computed_once_on_first_access(self, monkeypatch):
+        calls = []
+        real = neighbors.gabriel_neighbors
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(neighbors, "gabriel_neighbors", counting)
+        network = make_grid_network(4, 100.0)
+        service = BeaconService(network, expiry_s=3.5, warm_start=True)
+        views = [service.view(5, t) for t in (0.0, 1.0)]
+        assert calls == []
+        assert views[0].planar_neighbor_ids == views[1].planar_neighbor_ids
+        assert calls == [5]
+
     def test_positive_expiry_required(self):
         network = make_line_network(3, 100.0)
         with pytest.raises(ValueError):
             BeaconService(network, expiry_s=0.0)
+
+
+@pytest.mark.parametrize("protocol", ["LGS", "GRD", "FLOOD"])
+def test_contended_run_without_perimeter_mode_plans_no_gabriel_subset(
+    protocol, monkeypatch
+):
+    """Views hand out Gabriel subsets lazily: protocols that never enter
+    perimeter mode cost no planarization pass on the beaconed medium."""
+    from repro.engine import EngineConfig
+    from repro.experiments.config import PaperConfig
+    from repro.experiments.contention import ContentionScale, run_contention_unit
+
+    calls = []
+    real = neighbors.gabriel_neighbors
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(neighbors, "gabriel_neighbors", counting)
+    config = PaperConfig()
+    scale = ContentionScale(
+        name="lazy-planar",
+        network_count=1,
+        node_count=120,
+        group_size=4,
+        session_counts=(3,),
+        interarrival_s=(0.05,),
+    )
+    engine = EngineConfig(
+        max_path_length=config.max_path_length,
+        transmission_model="contended",
+        loss_seed=config.master_seed,
+    )
+    results, _ = run_contention_unit(config, scale, engine, 0, 3, 0.05, (protocol,))
+    assert results and all(result.transmissions > 0 for result in results)
+    assert calls == []
