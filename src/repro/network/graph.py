@@ -69,13 +69,8 @@ class SpatialGrid:
         self._points: Union[List[Point], np.ndarray] = list(points)
         for idx, p in enumerate(self._points):
             self._cells.setdefault(self._cell_of(p), []).append(idx)
-        # Tight per-cell bounds (min_x, min_y, max_x, max_y) over members,
-        # plus per-cell member coordinate arrays (index array, xs, ys —
-        # aligned with the member list) that the shared plane packs.
+        # Tight per-cell bounds (min_x, min_y, max_x, max_y) over members.
         self._bounds: Dict[Tuple[int, int], Tuple[float, float, float, float]] = {}
-        self._member_arrays: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
         for cell in self._cells:
             self._refresh_cell(cell)
 
@@ -83,27 +78,21 @@ class SpatialGrid:
         return (int(math.floor(p[0] / self._cell_size)), int(math.floor(p[1] / self._cell_size)))
 
     def _refresh_cell(self, cell: Tuple[int, int]) -> None:
-        """Recompute one cell's bounds and member arrays from its member list."""
+        """Recompute one cell's bounds from its member list."""
         members = self._cells.get(cell)
         if not members:
             self._cells.pop(cell, None)
             self._bounds.pop(cell, None)
-            self._member_arrays.pop(cell, None)
             return
         xs = [self._points[i][0] for i in members]
         ys = [self._points[i][1] for i in members]
         self._bounds[cell] = (min(xs), min(ys), max(xs), max(ys))
-        self._member_arrays[cell] = (
-            np.array(members, dtype=np.intp),
-            np.array(xs, dtype=float),
-            np.array(ys, dtype=float),
-        )
 
     def remove_point(self, idx: int) -> None:
         """Drop point ``idx`` from the grid (its slot stays allocated).
 
-        Subsequent queries never return ``idx``; the cell's bounds and
-        member arrays are recomputed so both prunes stay tight.
+        Subsequent queries never return ``idx``; the cell's bounds are
+        recomputed so both prunes stay tight.
         """
         cell = self._cell_of(self._points[idx])
         members = self._cells.get(cell)
@@ -144,23 +133,19 @@ class SpatialGrid:
 
         Cells are emitted in sorted key order: ``grid_cells[i]`` is the
         key of the cell whose members occupy
-        ``grid_members[grid_indptr[i]:grid_indptr[i+1]]`` (the coordinate
-        slices of ``grid_xs``/``grid_ys`` are aligned with it), with the
-        tight per-cell bounds in ``grid_bounds[i]``.
+        ``grid_members[grid_indptr[i]:grid_indptr[i+1]]``, with the tight
+        per-cell bounds in ``grid_bounds[i]``.
         """
         cells = sorted(self._cells)
-        parts = [self._member_arrays[cell] for cell in cells]
-        counts = np.fromiter(
-            (part[0].shape[0] for part in parts), dtype=np.intp, count=len(parts)
-        )
-        indptr = np.zeros(len(parts) + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
+        members = [self._cells[cell] for cell in cells]
+        indptr = np.zeros(len(cells) + 1, dtype=np.intp)
+        np.cumsum([len(row) for row in members], out=indptr[1:])
         return {
             "grid_cells": np.array(cells, dtype=np.int64),
             "grid_indptr": indptr,
-            "grid_members": np.concatenate([part[0] for part in parts]),
-            "grid_xs": np.concatenate([part[1] for part in parts]),
-            "grid_ys": np.concatenate([part[2] for part in parts]),
+            "grid_members": np.array(
+                [idx for row in members for idx in row], dtype=np.intp
+            ),
             "grid_bounds": np.array(
                 [self._bounds[cell] for cell in cells], dtype=float
             ),
@@ -175,53 +160,24 @@ class SpatialGrid:
     ) -> "SpatialGrid":
         """Rebuild a grid over mapped arrays — the attach-side twin of ``__init__``.
 
-        Member *arrays* are zero-copy slices of the mapped buffers; member
-        *lists* (the bulk-accept path and the mutation bookkeeping) are
-        materialized as plain ints — exactly what a fresh build holds, so
-        query results, and their order, are indistinguishable from a
-        rebuilt grid's.
+        Member lists are materialized as plain ints — exactly what a fresh
+        build holds, so query results, and their order, are
+        indistinguishable from a rebuilt grid's.
         """
         grid = cls.__new__(cls)
         grid._cell_size = float(cell_size)
         grid._points = points
         grid._cells = {}
         grid._bounds = {}
-        grid._member_arrays = {}
         starts = arrays["grid_indptr"].tolist()
-        bounds = arrays["grid_bounds"]
         members = arrays["grid_members"]
-        xs = arrays["grid_xs"]
-        ys = arrays["grid_ys"]
-        for i, key_row in enumerate(arrays["grid_cells"].tolist()):
-            cell = (int(key_row[0]), int(key_row[1]))
-            lo, hi = starts[i], starts[i + 1]
-            grid._cells[cell] = members[lo:hi].tolist()
-            row = bounds[i]
-            grid._bounds[cell] = (
-                float(row[0]),
-                float(row[1]),
-                float(row[2]),
-                float(row[3]),
-            )
-            grid._member_arrays[cell] = (members[lo:hi], xs[lo:hi], ys[lo:hi])
+        for i, (key, row) in enumerate(
+            zip(arrays["grid_cells"].tolist(), arrays["grid_bounds"].tolist())
+        ):
+            cell = (key[0], key[1])
+            grid._cells[cell] = members[starts[i] : starts[i + 1]].tolist()
+            grid._bounds[cell] = (row[0], row[1], row[2], row[3])
         return grid
-
-    def adopt_member_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Swap per-cell member/coordinate arrays for shared views.
-
-        Called on the *publishing* side right after the plane copies this
-        grid's packed arrays into a segment: values are bit-identical,
-        only the backing storage changes, so no derived state needs
-        recomputing and the private copies are freed.
-        """
-        starts = arrays["grid_indptr"].tolist()
-        members = arrays["grid_members"]
-        xs = arrays["grid_xs"]
-        ys = arrays["grid_ys"]
-        for i, key_row in enumerate(arrays["grid_cells"].tolist()):
-            cell = (int(key_row[0]), int(key_row[1]))
-            lo, hi = starts[i], starts[i + 1]
-            self._member_arrays[cell] = (members[lo:hi], xs[lo:hi], ys[lo:hi])
 
     def _ensure_private_points(self) -> None:
         """Copy-on-write for the point table of an attached (shared) grid.
@@ -685,7 +641,6 @@ class WirelessNetwork:
         if self._rng_csr is not None and "rng_indptr" in arrays:
             self._rng_csr.indptr = arrays["rng_indptr"]
             self._rng_csr.indices = arrays["rng_indices"]
-        self._grid.adopt_member_arrays(arrays)
         self._shared_state = True
 
     def _ensure_private_node_state(self) -> None:
@@ -698,11 +653,9 @@ class WirelessNetwork:
         other processes read.  Values are unchanged, so derived caches
         stay exact and nothing needs invalidating (R012 exempts the
         configured copy-on-write hooks); reprolint R017 enforces that
-        every mutator of
-        shared-capable arrays reaches this first.  The CSR adjacency and
-        grid member arrays stay shared: their mutation paths are already
-        copy-on-write (sparse ``set_row`` overrides; per-cell refreshes
-        that *replace* entries instead of writing in place).
+        every mutator of shared-capable arrays reaches this first.  The
+        CSR adjacency stays shared: its mutation path is already
+        copy-on-write (sparse ``set_row`` overrides).
         """
         if not self._shared_state:
             return
@@ -733,12 +686,12 @@ class WirelessNetwork:
     def fail_node(self, node_id: int) -> None:
         """Kill node ``node_id``: it vanishes from every topology query.
 
-        The spatial grid drops the point (per-cell bounds and member arrays
-        recomputed), the failed node is removed from each former neighbor's
-        table, and all derived caches of the affected nodes — planarized
-        neighbor subsets, :meth:`neighbor_location_array` rows, the
-        weighted graph — are invalidated.  After this call every query
-        answers exactly as a network freshly built from the surviving nodes.
+        The spatial grid drops the point (per-cell bounds recomputed), the
+        failed node is removed from each former neighbor's table, and all
+        derived caches of the affected nodes — planarized neighbor subsets,
+        :meth:`neighbor_location_array` rows, the weighted graph — are
+        invalidated.  After this call every query answers exactly as a
+        network freshly built from the surviving nodes.
         """
         if node_id in self._failed:
             raise ValueError(f"node {node_id} has already failed")
@@ -917,11 +870,12 @@ def attach_shared_network(
     The attach-side twin of :meth:`WirelessNetwork.shared_state_arrays`
     (the plane in ``repro.perf.shm`` provides ``arrays`` as read-only
     views of a ``multiprocessing.shared_memory`` segment): node state,
-    the CSR adjacency, any published planar overlays and the spatial
-    grid's member arrays are used zero-copy; node objects materialize
-    lazily; and every derived cache starts empty and fills exactly as a
-    fresh build's would — so queries, traces and digests are
-    byte-identical to a network built from scratch.  Mutators copy node
+    the CSR adjacency and any published planar overlays are used
+    zero-copy; the spatial grid's member lists are rebuilt from the
+    packed cells; node objects materialize lazily; and every derived
+    cache starts empty and fills exactly as a fresh build's would — so
+    queries, traces and digests are byte-identical to a network built
+    from scratch.  Mutators copy node
     state private on first write (:meth:`_ensure_private_node_state`),
     keeping the mapped segment immutable.
     """

@@ -1,13 +1,12 @@
-"""Performance layer: instrumentation, hot-path caches, parallel fan-out.
+"""Performance layer: instrumentation, parallel fan-out, the adjacency kernel.
 
 Cooperating modules, none of which may change simulation *results*:
 
 * :mod:`repro.perf.counters` — process-local cache hit/miss counters and
   stage wall-time accounting (with an *injected* clock, so simulation code
   never reads the wall clock itself — reprolint R002).
-* :mod:`repro.perf.cache` — memoization of the per-hop Fermat points,
-  keyed on exact coordinate tuples so a hit is bit-identical to a fresh
-  computation.
+* :mod:`repro.perf.cache` — :func:`clear_caches`, the reset point between
+  independent runs (it retires the shared worker pool).
 * :mod:`repro.perf.parallel` — a deterministic process-pool runner that
   shards independent work units over one reusable worker pool and merges
   results in canonical submission order, guaranteeing parallel output
@@ -17,14 +16,7 @@ Cooperating modules, none of which may change simulation *results*:
   deployment's neighbor rows compute in one call with identical results.
 """
 
-from repro.perf.cache import (
-    cache_stats,
-    cached_fermat_point,
-    caches_disabled,
-    caching_enabled,
-    clear_caches,
-    set_caching_enabled,
-)
+from repro.perf.cache import clear_caches
 from repro.perf.counters import (
     GLOBAL_COUNTERS,
     BatchCounter,
@@ -36,12 +28,7 @@ from repro.perf.kernels import unit_disk_rows
 from repro.perf.parallel import run_units
 
 __all__ = [
-    "cache_stats",
-    "cached_fermat_point",
-    "caches_disabled",
-    "caching_enabled",
     "clear_caches",
-    "set_caching_enabled",
     "GLOBAL_COUNTERS",
     "BatchCounter",
     "CacheCounter",

@@ -29,9 +29,8 @@ process-wide pool, with these lifetime rules:
   the same ``workers`` and the same plane with the same published keys
   (the manifests that went through the initializer).
 * **Retirement** — shutdown plus join, by :func:`retire_pool`: when those
-  inputs change, from :func:`repro.perf.cache.clear_caches` (workers hold
-  the memos it resets, and anything patched into the parent since the
-  fork), when the plane the pool was forked with closes, when a caller
+  inputs change, from :func:`repro.perf.cache.clear_caches` (workers would
+  miss anything patched into the parent since the fork), when the plane the pool was forked with closes, when a caller
   ends its scope (every CLI command does), and at interpreter exit.
 
 Pooled calls run one at a time: a stream abandoned mid-way cancels its

@@ -4,9 +4,9 @@ Parallel sweeps run many tasks against the *same* deployments, yet every
 worker process used to rebuild each network from scratch through its own
 ``cached_network`` memo — multiplying both warm-up time and RSS by the
 worker count.  The struct-of-arrays network core keeps coordinates,
-liveness, residual energy, the CSR adjacency, planarization overlays and
-the spatial-grid member arrays in flat NumPy buffers, which makes them
-directly mappable: the parent *publishes* each built network into one
+liveness, residual energy, the CSR adjacency and planarization overlays in
+flat NumPy buffers, which makes them directly mappable (the spatial grid's
+cells are flattened into member and bounds arrays at publish time): the parent *publishes* each built network into one
 named ``multiprocessing.shared_memory`` segment, the pool initializer
 hands workers the manifests, and workers *attach* read-only array views
 over the mapped buffers — :func:`repro.network.graph.attach_shared_network`

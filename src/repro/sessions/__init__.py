@@ -11,7 +11,7 @@ over time.  This package provides the pieces that regime needs:
   (Poisson, bursty MMPP on/off, diurnal rate) with heavy-tailed group
   sizes, exposed as a resumable :class:`SessionStream` cursor;
 * :mod:`repro.sessions.sketches` — memory-bounded online statistics
-  (Welford mean/variance, Greenwald-Khanna and P² quantile sketches);
+  (Welford mean/variance, Greenwald-Khanna quantile sketches);
 * :mod:`repro.sessions.store` — the incremental, resumable checkpoint
   store (atomic JSON snapshots of sketch state + stream cursor);
 * :mod:`repro.sessions.runner` — the long-running session scheduler that
@@ -40,7 +40,7 @@ from repro.sessions.runner import (
     SessionReport,
     run_session_stream,
 )
-from repro.sessions.sketches import GKQuantiles, P2Quantile, StreamStats, Welford
+from repro.sessions.sketches import GKQuantiles, StreamStats, Welford
 from repro.sessions.store import CheckpointStore
 from repro.sessions.workload import MulticastTask, generate_tasks
 
@@ -51,7 +51,6 @@ __all__ = [
     "FixedGroups",
     "GKQuantiles",
     "MulticastTask",
-    "P2Quantile",
     "PoissonArrivals",
     "SessionOutcome",
     "SessionReport",

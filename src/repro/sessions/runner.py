@@ -16,8 +16,9 @@ into bounded-memory sketches instead of accumulating
   from any checkpoint produces the same report bytes as an uninterrupted
   one.
 * **Bounded memory** — the parent retains the sketches, the chain digest,
-  and at most ``window`` in-flight chunks; nothing grows with the number
-  of completed sessions (up to the GK sketch's logarithmic factor).
+  and at most ``stream_units``' default window of in-flight chunks (four
+  per worker); nothing grows with the number of completed sessions (up to
+  the GK sketch's logarithmic factor).
 
 Per-session result digests (:func:`repro.engine.digest.task_digest`) are
 computed inside the worker and chained as
@@ -201,9 +202,9 @@ def stream_identity(
     """The run identity a checkpoint must match to be resumable.
 
     Everything that changes simulation outcomes or sketch content is in;
-    operator knobs that provably cannot (workers, window, chunk,
-    checkpoint cadence) are out — resuming with a different worker count
-    is explicitly supported.
+    operator knobs that provably cannot (workers, chunk size, checkpoint
+    cadence) are out — resuming with a different worker count is
+    explicitly supported.
     """
     return {
         "workload": workload.describe(),
@@ -225,8 +226,6 @@ def run_session_stream(
     engine: EngineConfig | None = None,
     net_index: int = 0,
     workers: int = 1,
-    window: int = 0,
-    chunk: int = DEFAULT_CHUNK,
     epsilon: float = 0.01,
     checkpoint: Optional[CheckpointStore] = None,
     checkpoint_every: int = 0,
@@ -247,8 +246,8 @@ def run_session_stream(
             checkpoint this is the *cumulative* target: a resumed run
             continues from the stored position toward the same total.
         engine: Engine knobs (default model; TTL etc.).
-        workers / window / chunk: Execution shape — provably incapable of
-            changing the report (asserted by tests).
+        workers: Pool size — provably incapable of changing the report
+            (asserted by tests, as is the chunk size).
         epsilon: GK sketch error bound for the report quantiles.
         checkpoint: Where to persist progress; ``None`` disables both
             checkpointing and resume.
@@ -268,8 +267,6 @@ def run_session_stream(
     """
     if total_sessions < 0:
         raise ValueError(f"total sessions must be >= 0, got {total_sessions}")
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload is sized for {workload.node_count} nodes but the "
@@ -313,7 +310,7 @@ def run_session_stream(
         position = cursor
         produced = completed
         while produced < total_sessions:
-            take = min(chunk, total_sessions - produced)
+            take = min(DEFAULT_CHUNK, total_sessions - produced)
             requests: List[SessionRequest] = []
             for _ in range(take):
                 request, position = workload.session_at(position)
@@ -348,7 +345,6 @@ def run_session_stream(
             run_session_chunk,
             chunk_args(),
             workers=workers,
-            window=window,
             plane=plane,
         ):
             arrivals, cursor_after = side.popleft()

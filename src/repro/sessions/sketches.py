@@ -10,10 +10,7 @@ these sketches replace that accumulation with O(1)-to-O(log n) state:
   summary: any quantile query is answered within ``epsilon * n`` ranks of
   the exact answer, with ``O((1/epsilon) * log(epsilon * n))`` stored
   tuples — the bound the property tests assert against
-  ``numpy.percentile``;
-* :class:`P2Quantile` — the Jain-Chlamtac P² estimator: a single target
-  quantile tracked in five markers, constant space, no error bound (kept
-  for the cheapest telemetry paths; the session reports use GK).
+  ``numpy.percentile``.
 
 All sketches are deterministic in their input order and serialize exactly
 (:meth:`state` / ``from_state``): floats round-trip through JSON by
@@ -204,121 +201,6 @@ class GKQuantiles:
             [float(v), float(g), float(d)]
             for v, g, d in state["tuples"]
         ]
-        return out
-
-
-class P2Quantile:
-    """Jain-Chlamtac P² single-quantile estimator (five markers, O(1) space).
-
-    Until five observations arrive the exact sorted sample is kept, so
-    small streams report exact quantiles; afterwards marker heights move by
-    the piecewise-parabolic (P²) update.  No error bound — use
-    :class:`GKQuantiles` when the report must be defensible.
-    """
-
-    __slots__ = ("quantile", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        self.quantile = float(quantile)
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._rates: List[float] = []
-
-    @property
-    def count(self) -> int:
-        if len(self._heights) < 5 or not self._positions:
-            return len(self._heights) if not self._positions else 5
-        return int(self._positions[-1])
-
-    def update(self, value: float) -> None:
-        value = float(value)
-        q = self.quantile
-        if not self._positions:
-            self._heights.append(value)
-            self._heights.sort()
-            if len(self._heights) == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-                self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._rates[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - positions[i]
-            if (d >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                d <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        j = i + int(step)
-        return self._heights[i] + step * (self._heights[j] - self._heights[i]) / (
-            self._positions[j] - self._positions[i]
-        )
-
-    def value(self) -> float:
-        """The current estimate of the target quantile."""
-        if not self._heights:
-            raise ValueError("cannot query an empty estimator")
-        if not self._positions:
-            exact = sorted(self._heights)
-            rank = self.quantile * (len(exact) - 1)
-            low = int(math.floor(rank))
-            high = min(low + 1, len(exact) - 1)
-            return exact[low] + (rank - low) * (exact[high] - exact[low])
-        return self._heights[2]
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "quantile": self.quantile,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-            "rates": list(self._rates),
-        }
-
-    @staticmethod
-    def from_state(state: Dict[str, Any]) -> "P2Quantile":
-        out = P2Quantile(float(state["quantile"]))
-        out._heights = [float(x) for x in state["heights"]]
-        out._positions = [float(x) for x in state["positions"]]
-        out._desired = [float(x) for x in state["desired"]]
-        out._rates = [float(x) for x in state["rates"]]
         return out
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import Point, distance, nearly_equal_points
-from repro.geometry.fermat import weiszfeld_point
-from repro.perf.cache import cached_fermat_point
+from repro.geometry.fermat import fermat_point, weiszfeld_point
 from repro.steiner.reduction_ratio import reduction_ratio_point
 from repro.steiner.tree import SteinerTree, VertexKind
 
@@ -488,7 +487,7 @@ def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) ->
                 for c2 in kids[i + 1 :]:
                     l1 = vertices[c1].location
                     l2 = vertices[c2].location
-                    w_loc = cached_fermat_point(p_loc, l1, l2)
+                    w_loc = fermat_point(p_loc, l1, l2)
                     saving = (
                         distance(p_loc, l1)
                         + distance(p_loc, l2)
@@ -542,7 +541,7 @@ def _relocate_virtuals(
         target = memo.get(star_key) if memo is not None else None
         if target is None:
             if len(star) == 3:
-                target = cached_fermat_point(star[0], star[1], star[2])
+                target = fermat_point(star[0], star[1], star[2])
             else:
                 target = weiszfeld_point(star)
             if memo is not None:
@@ -579,13 +578,3 @@ def _rebuild_without(tree: SteinerTree, dead: set) -> SteinerTree:
             stack.append(child)
     return rebuilt
 
-
-def rrstr_tree_length(
-    source_location: Point,
-    destination_locations: Iterable[Point],
-    radio_range: float,
-    config: RRStrConfig | None = None,
-) -> float:
-    """Convenience: total Euclidean length of the rrSTR tree."""
-    destinations = [(i, loc) for i, loc in enumerate(destination_locations)]
-    return rrstr(source_location, destinations, radio_range, config).total_length()

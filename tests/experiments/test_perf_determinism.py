@@ -3,7 +3,8 @@
 Two contracts from the perf layer are load-bearing for reproducibility:
 
 * any worker count produces byte-identical results (trace digests equal);
-* enabling the hot-path caches changes nothing about simulation output.
+* a network's warm derived caches (planar overlays, neighbor rows)
+  change nothing about simulation output.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from repro.experiments.config import PaperConfig, SMOKE_SCALE
 from repro.experiments.figures import figure15, run_group_size_sweep
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
-from repro.perf.cache import caches_disabled, clear_caches
 from repro.routing import GMPProtocol
 
 TRACING = EngineConfig(collect_traces=True)
@@ -50,18 +50,18 @@ class TestCachePurity:
     def test_gmp_results_identical_with_caches_on_and_off(self):
         rng = np.random.default_rng(23)
         points = uniform_random_topology(300, 1000.0, 1000.0, rng)
-        network = build_network(points, RadioConfig())
+        shared = build_network(points, RadioConfig())
         task_rng = np.random.default_rng(57)
         tasks = []
         for _ in range(10):
             picks = task_rng.choice(300, size=9, replace=False)
             tasks.append((int(picks[0]), [int(p) for p in picks[1:]]))
 
-        def run_all():
+        def run_all(fresh_networks):
             protocol = GMPProtocol()
             return [
                 run_task(
-                    network,
+                    build_network(points, RadioConfig()) if fresh_networks else shared,
                     protocol,
                     source,
                     dests,
@@ -71,11 +71,9 @@ class TestCachePurity:
                 for index, (source, dests) in enumerate(tasks)
             ]
 
-        with caches_disabled():
-            uncached = run_all()
-        clear_caches()
-        cached_cold = run_all()
-        cached_warm = run_all()
+        uncached = run_all(fresh_networks=True)
+        cached_cold = run_all(fresh_networks=False)
+        cached_warm = run_all(fresh_networks=False)
         assert batch_digest(uncached) == batch_digest(cached_cold)
         assert batch_digest(uncached) == batch_digest(cached_warm)
         hops = [r.delivered_hops for r in uncached]

@@ -1,6 +1,6 @@
 """Cache-invalidation regression tests for in-place network mutation.
 
-The array-backed hot paths (per-cell SpatialGrid member arrays,
+The hot-path caches (per-cell SpatialGrid bounds,
 ``neighbor_location_array``, planarization caches) are all derived state;
 ``fail_node`` and ``move_node`` must invalidate exactly enough of it that
 every subsequent query answers as if the network had been rebuilt from

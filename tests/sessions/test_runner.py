@@ -14,6 +14,7 @@ from repro.sessions import (
     ZipfGroups,
     run_session_stream,
 )
+from repro.sessions import runner
 from repro.sessions.store import CheckpointError
 
 NODE_COUNT = 120
@@ -31,6 +32,11 @@ def _workload(seed=7):
         arrival=PoissonArrivals(rate_per_s=2.0),
         groups=ZipfGroups(alpha=1.2, min_size=2, max_size=8),
     )
+
+
+def _chunked(monkeypatch, chunk):
+    """Ship ``chunk`` sessions per unit in every stream that follows."""
+    monkeypatch.setattr(runner, "DEFAULT_CHUNK", chunk)
 
 
 def _report_bytes(report):
@@ -56,24 +62,20 @@ def test_report_is_complete_and_sane(config):
     }
 
 
-def test_chunk_size_cannot_change_the_report(config):
-    reference = run_session_stream(
-        _workload(), ("GMP",), config, total_sessions=17, chunk=8
-    )
+def test_chunk_size_cannot_change_the_report(config, monkeypatch):
+    reference = run_session_stream(_workload(), ("GMP",), config, total_sessions=17)
     for chunk in (1, 3, 17, 50):
-        other = run_session_stream(
-            _workload(), ("GMP",), config, total_sessions=17, chunk=chunk
-        )
+        _chunked(monkeypatch, chunk)
+        other = run_session_stream(_workload(), ("GMP",), config, total_sessions=17)
         assert _report_bytes(other) == _report_bytes(reference)
 
 
-def test_workers_cannot_change_the_report(config):
+def test_workers_cannot_change_the_report(config, monkeypatch):
     """The PR 2 contract extended to streams: pooled == serial, byte for byte."""
-    serial = run_session_stream(
-        _workload(), ("GMP",), config, total_sessions=16, chunk=2
-    )
+    _chunked(monkeypatch, 2)
+    serial = run_session_stream(_workload(), ("GMP",), config, total_sessions=16)
     pooled = run_session_stream(
-        _workload(), ("GMP",), config, total_sessions=16, chunk=2, workers=3
+        _workload(), ("GMP",), config, total_sessions=16, workers=3
     )
     assert _report_bytes(pooled) == _report_bytes(serial)
 
@@ -86,29 +88,28 @@ def test_protocols_see_identical_sessions(config):
     assert gmp.chain_digest != lgs.chain_digest  # results differ, stream not
 
 
-def test_resume_reproduces_uninterrupted_report(tmp_path, config):
-    reference = run_session_stream(
-        _workload(), ("GMP",), config, total_sessions=21, chunk=4
-    )
+def test_resume_reproduces_uninterrupted_report(tmp_path, config, monkeypatch):
+    _chunked(monkeypatch, 4)
+    reference = run_session_stream(_workload(), ("GMP",), config, total_sessions=21)
     store = CheckpointStore(str(tmp_path / "cell.json"))
     # "Kill" the run after 9 sessions, checkpointing every 3.
+    _chunked(monkeypatch, 3)
     partial = run_session_stream(
         _workload(),
         ("GMP",),
         config,
         total_sessions=9,
-        chunk=3,
         checkpoint=store,
         checkpoint_every=3,
     )
     assert partial.completed == 9
-    # Resume toward the full target — with a different chunk and worker mix.
+    # Resume toward the full target — with a different chunk size.
+    _chunked(monkeypatch, 5)
     resumed = run_session_stream(
         _workload(),
         ("GMP",),
         config,
         total_sessions=21,
-        chunk=5,
         checkpoint=store,
         checkpoint_every=3,
     )
@@ -116,10 +117,9 @@ def test_resume_reproduces_uninterrupted_report(tmp_path, config):
     assert _report_bytes(resumed) == _report_bytes(reference)
 
 
-def test_resume_from_every_checkpoint_cadence(tmp_path, config):
-    reference = run_session_stream(
-        _workload(), ("GMP",), config, total_sessions=12, chunk=2
-    )
+def test_resume_from_every_checkpoint_cadence(tmp_path, config, monkeypatch):
+    _chunked(monkeypatch, 2)
+    reference = run_session_stream(_workload(), ("GMP",), config, total_sessions=12)
     for stop in (2, 5, 11):
         store = CheckpointStore(str(tmp_path / f"stop{stop}.json"))
         run_session_stream(
@@ -127,7 +127,6 @@ def test_resume_from_every_checkpoint_cadence(tmp_path, config):
             ("GMP",),
             config,
             total_sessions=stop,
-            chunk=2,
             checkpoint=store,
             checkpoint_every=2,
         )
@@ -136,7 +135,6 @@ def test_resume_from_every_checkpoint_cadence(tmp_path, config):
             ("GMP",),
             config,
             total_sessions=12,
-            chunk=2,
             checkpoint=store,
             checkpoint_every=2,
         )
@@ -174,8 +172,7 @@ def test_memory_state_is_flat_in_completed_sessions(config):
     sizes = {}
     for total in (50, 500):
         report = run_session_stream(
-            _workload(), ("GMP",), config, total_sessions=total, chunk=25,
-            epsilon=0.05,
+            _workload(), ("GMP",), config, total_sessions=total, epsilon=0.05
         )
         state_bytes = len(
             json.dumps(
@@ -199,7 +196,5 @@ def test_workload_config_mismatch_rejected(config):
     )
     with pytest.raises(ValueError):
         run_session_stream(wrong, ("GMP",), config, total_sessions=1)
-    with pytest.raises(ValueError):
-        run_session_stream(_workload(), ("GMP",), config, total_sessions=1, chunk=0)
     with pytest.raises(ValueError):
         run_session_stream(_workload(), ("GMP",), config, total_sessions=-1)

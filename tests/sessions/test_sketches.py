@@ -11,7 +11,6 @@ import pytest
 from repro.sessions.sketches import (
     GKQuantiles,
     MetricSketch,
-    P2Quantile,
     StreamStats,
     Welford,
     exact_quantile,
@@ -159,42 +158,6 @@ def test_gk_rejects_bad_arguments():
     sketch.update(1.0)
     with pytest.raises(ValueError):
         sketch.query(1.5)
-
-
-# ----------------------------------------------------------------------
-# P²
-# ----------------------------------------------------------------------
-
-
-def test_p2_exact_below_five_samples():
-    estimator = P2Quantile(0.5)
-    for value in (5.0, 1.0, 3.0):
-        estimator.update(value)
-    assert estimator.value() == 3.0
-
-
-@pytest.mark.parametrize("quantile", [0.5, 0.9])
-def test_p2_tracks_exact_quantile(quantile):
-    values = STREAMS["uniform"](np.random.default_rng(13))
-    estimator = P2Quantile(quantile)
-    for value in values:
-        estimator.update(float(value))
-    exact = float(np.percentile(values, 100.0 * quantile))
-    assert estimator.value() == pytest.approx(exact, abs=0.05)
-
-
-def test_p2_state_round_trip_continues_identically():
-    values = STREAMS["exponential"](np.random.default_rng(31))
-    whole = P2Quantile(0.9)
-    for value in values:
-        whole.update(float(value))
-    half = P2Quantile(0.9)
-    for value in values[:500]:
-        half.update(float(value))
-    restored = P2Quantile.from_state(json.loads(json.dumps(half.state())))
-    for value in values[500:]:
-        restored.update(float(value))
-    assert restored.state() == whole.state()
 
 
 # ----------------------------------------------------------------------
