@@ -166,16 +166,6 @@ def test_bench_pbm_select_subset(benchmark):
     benchmark(select_both)
 
 
-def test_bench_task_execution_gmp_cold(benchmark, micro_network):
-    """GMP with a fresh protocol instance per round: no state carried over."""
-    dests = [30, 90, 150, 210, 270, 330, 370, 399]
-
-    def cold_task():
-        return run_task(micro_network, GMPProtocol(), 0, dests)
-
-    benchmark.pedantic(cold_task, rounds=3, iterations=1)
-
-
 def test_bench_task_execution_gmp_contended(benchmark, micro_network):
     """The same GMP task through the CSMA/ARQ link layer (beacons off).
 

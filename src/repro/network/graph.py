@@ -251,7 +251,7 @@ class CSRAdjacency:
     ``indices[indptr[i]:indptr[i+1]]`` is row ``i`` — the ascending ids
     adjacent to node ``i``.  :meth:`row` is an O(1) read-only array slice;
     :meth:`row_tuple` memoizes the plain-int tuple the public API hands out;
-    :meth:`contains` binary-searches the sorted row.  Mutations (node
+    :meth:`contains` binary-searches that tuple.  Mutations (node
     failures, mobility) replace whole rows via :meth:`set_row` in a sparse
     override dict, leaving the packed base arrays untouched — churn touches
     a handful of nodes out of tens of thousands, so repacking would be
@@ -316,10 +316,10 @@ class CSRAdjacency:
         return cached
 
     def contains(self, node_id: int, other: int) -> bool:
-        """Binary-search membership test on the sorted row."""
-        row = self.row(node_id)
-        position = int(np.searchsorted(row, other))
-        return position < row.shape[0] and int(row[position]) == other
+        """Binary-search membership test on the sorted, memoized row tuple."""
+        row = self.row_tuple(node_id)
+        position = bisect.bisect_left(row, other)
+        return position < len(row) and row[position] == other
 
     def set_row(self, node_id: int, ids: Sequence[int]) -> None:
         """Replace row ``node_id`` (ascending ids), keeping the base packed."""

@@ -27,6 +27,7 @@ prose behaviour (exercised by an ablation benchmark).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -34,11 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import Point, distance, nearly_equal_points
 from repro.geometry.fermat import fermat_point, weiszfeld_point
-from repro.steiner.reduction_ratio import reduction_ratio_point
+from repro.steiner.reduction_ratio import reduction_ratio_bound, reduction_ratio_point
 from repro.steiner.tree import SteinerTree, VertexKind
 
-#: Heap key guaranteed to sort after every true pair's key (-RR <= ~0) so
-#: that self-pairs are consumed only when nothing better remains.
+#: Heap key guaranteed to sort after every true pair's key (-RR and minus
+#: its bound are both <= ~0) so that self-pairs are consumed only when
+#: nothing better remains.
 _SELF_PAIR_KEY = 1.0
 
 
@@ -117,27 +119,41 @@ def rrstr(
     if not destinations:
         return tree
 
+    if len(destinations) == 1:
+        # The lone destination's self-pair is the only heap entry, and
+        # refinement never changes a one-edge tree.
+        ref, location = destinations[0]
+        tree.attach(0, tree.add_terminal(location, ref))
+        return tree
+
     s = source_location
     vertices = tree._vertices
     tolerance = cfg.collocation_tolerance
-    active = {}
-    # Heap entries carry the Steiner point as two plain floats: the
-    # (key, sequence) prefix is unique, so comparisons never reach the
-    # coordinate slots, and the Point object is built lazily only for the
-    # few pops that survive the activity checks below.
-    heap: List[Tuple[float, int, int, int, float, float]] = []
+    active: List[bool] = [False]
+    radial: List[float] = [0.0]
+    # Heap entries are ``(key, sequence, u, v, steiner)``.  A pair enters
+    # keyed by minus its reduction_ratio_bound, with ``steiner`` None; only
+    # when that entry reaches the top with the pair still live are its exact
+    # RR and Steiner point computed and the pair pushed again, keyed by
+    # -RR under its original sequence number.  A bound never sorts after its
+    # exact key, so exact entries pop in exactly the order an eager heap of
+    # exact keys would pop them, and the pairs that the loop would skip are
+    # dropped unevaluated.  ``(key, sequence)`` is unique among the entries
+    # in the heap, so comparisons never reach the vertex or point slots.
+    heap: List[Tuple[float, int, int, int, Optional[Point]]] = []
     sequence = 0
 
     def push_pair(u_vid: int, v_vid: int) -> None:
         nonlocal sequence
         if u_vid == v_vid:
-            u_loc = vertices[u_vid].location
-            entry = (_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1])
+            entry = (_SELF_PAIR_KEY, sequence, u_vid, u_vid, None)
         else:
-            rr, steiner = reduction_ratio_point(
-                s, vertices[u_vid].location, vertices[v_vid].location
+            bound = reduction_ratio_bound(
+                radial[u_vid],
+                radial[v_vid],
+                distance(vertices[u_vid].location, vertices[v_vid].location),
             )
-            entry = (-rr, sequence, u_vid, v_vid, steiner[0], steiner[1])
+            entry = (-bound, sequence, u_vid, v_vid, None)
         heapq.heappush(heap, entry)
         sequence += 1
 
@@ -145,39 +161,48 @@ def rrstr(
     for ref, location in destinations:
         vid = tree.add_terminal(location, ref)
         terminal_vids.append(vid)
-        active[vid] = True
+        active.append(True)
+        radial.append(distance(s, location))
 
-    # Seed the merge heap: all k*(k-1)/2 destination pairs.  Entries carry a
-    # unique sequence tie-break, so their pop order is their *sorted* order
-    # no matter how the heap was built — one heapify over the full seed
-    # list replaces k*(k+1)/2 heappush calls without changing any pop.
+    # Seed the merge heap with every destination's self-pair and every
+    # destination pair under its bound: k*(k+1)/2 entries, one distance
+    # each.  Pop order is the sorted ``(key, sequence)`` order however the
+    # heap was built, so one heapify replaces the pushes.
     for i, u_vid in enumerate(terminal_vids):
         u_loc = vertices[u_vid].location
-        heap.append((_SELF_PAIR_KEY, sequence, u_vid, u_vid, u_loc[0], u_loc[1]))
+        d_su = radial[u_vid]
+        heap.append((_SELF_PAIR_KEY, sequence, u_vid, u_vid, None))
         sequence += 1
         for v_vid in terminal_vids[i + 1 :]:
-            rr, steiner = reduction_ratio_point(s, u_loc, vertices[v_vid].location)
-            heap.append((-rr, sequence, u_vid, v_vid, steiner[0], steiner[1]))
+            bound = reduction_ratio_bound(
+                d_su, radial[v_vid], distance(u_loc, vertices[v_vid].location)
+            )
+            heap.append((-bound, sequence, u_vid, v_vid, None))
             sequence += 1
     heapq.heapify(heap)
 
     dead_pairs = set()
 
     while heap:
-        _, _, u_vid, v_vid, sx, sy = heapq.heappop(heap)
-        if not active.get(u_vid, False):
+        _, pair_sequence, u_vid, v_vid, steiner = heapq.heappop(heap)
+        if not active[u_vid]:
             continue
         if u_vid == v_vid:
             # Lone remaining destination: connect it straight to the source.
             tree.attach(0, u_vid)
             active[u_vid] = False
             continue
-        if not active.get(v_vid, False):
+        if not active[v_vid]:
             continue
         pair_key = (min(u_vid, v_vid), max(u_vid, v_vid))
         if pair_key in dead_pairs:
             continue
-        steiner = Point(sx, sy)
+        if steiner is None:
+            rr, steiner = reduction_ratio_point(
+                s, vertices[u_vid].location, vertices[v_vid].location
+            )
+            heapq.heappush(heap, (-rr, pair_sequence, u_vid, v_vid, steiner))
+            continue
 
         u_loc = vertices[u_vid].location
         v_loc = vertices[v_vid].location
@@ -202,8 +227,8 @@ def rrstr(
             continue
 
         if cfg.radio_aware:
-            d_su = distance(s, u_loc)
-            d_sv = distance(s, v_loc)
+            d_su = radial[u_vid]
+            d_sv = radial[v_vid]
             # A virtual destination costs one extra hop; it pays off only if
             # rr + d(t,u) + d(t,v) < d(s,u) + d(s,v)   (Section 3.3).
             virtual_beneficial = (
@@ -244,12 +269,9 @@ def rrstr(
         tree.attach(w_vid, u_vid)
         tree.attach(w_vid, v_vid)
         active[u_vid] = active[v_vid] = False
-        active[w_vid] = True
-        partners = [
-            other_vid
-            for other_vid, is_active in list(active.items())
-            if is_active and other_vid != w_vid
-        ]
+        partners = [vid for vid, is_active in enumerate(active) if is_active]
+        active.append(True)
+        radial.append(distance(s, steiner))
         for other_vid in partners:
             push_pair(w_vid, other_vid)
         push_pair(w_vid, w_vid)
@@ -290,16 +312,15 @@ def refine_tree(
       current tree neighbors.
 
     Terminals and the root are never removed, so the result still spans the
-    source and every destination.
+    source and every destination.  One :class:`_RefineState` carries the
+    distances, near lists and memos from pass to pass, so a pass recomputes
+    only what the previous one changed.
     """
     vertices = tree._vertices
     parent_of = tree._parent
     children = tree._children
     dead: set = set()
-    # Star -> optimal-point memo shared across relocate passes: the target
-    # is a pure function of the star's locations, so unchanged stars (the
-    # common case after the first pass) skip the Weiszfeld iteration.
-    relocate_memo: dict = {}
+    state = _RefineState(tree)
     improved = True
     passes = 0
     while improved and passes < max_passes:
@@ -323,16 +344,153 @@ def refine_tree(
                 tree._link(parent, child)
                 dead.add(vid)
                 improved = True
-        if _reparent(tree, dead, max_stretch):
+        if _reparent(tree, dead, max_stretch, state):
             improved = True
-        if _insert_virtuals(tree, dead, radio_range):
+        if _insert_virtuals(tree, dead, radio_range, state.fermat_memo):
             improved = True
-        if _relocate_virtuals(tree, dead, relocate_memo):
+        if _relocate_virtuals(tree, dead, state.relocate_memo):
             improved = True
     return _rebuild_without(tree, dead)
 
 
-def _reparent(tree: SteinerTree, dead: set, max_stretch: float) -> bool:
+class _RefineState:
+    """What :func:`refine_tree` carries from one pass to the next.
+
+    :meth:`update` brings, per vid, the distance to every other vertex, the
+    length of the edge to its parent and its near list up to date with the
+    tree.  A near list holds the vertices strictly nearer than the parent
+    (by more than 1e-9) with their distances, in vid order: only those can
+    pass the re-parent scan's ``length >= best_len - 1e-9`` filter, because
+    ``best_len`` starts at the parent edge and only decreases.  Unattached
+    vertices get no candidates.  Every distance is
+    ``distance(location_i, location_j)`` to the bit.
+
+    Between two scans only the relocate sub-pass moves vertices and only
+    the insert sub-pass adds them, so an update computes the distances of
+    those vertices alone, each pair once: the first update, from the empty
+    state, fills the whole matrix.  A near list is a function of its row
+    and its parent edge, so it is rebuilt only when its vertex moved or its
+    parent edge changed length; otherwise only the moved columns are
+    patched in or out.
+
+    The memos map a star's locations to its optimal point (relocate) and a
+    ``(parent, child, child)`` location triple to its Fermat point and
+    saving (insert); both are pure functions of the locations.
+    """
+
+    __slots__ = (
+        "tree",
+        "locations",
+        "rows",
+        "edge_len",
+        "near_edge",
+        "near",
+        "near_len",
+        "fermat_memo",
+        "relocate_memo",
+    )
+
+    def __init__(self, tree: SteinerTree) -> None:
+        self.tree = tree
+        #: Location of each vid when its row was last computed.
+        self.locations: List[Point] = []
+        self.rows: List[List[float]] = []
+        self.edge_len: List[float] = []
+        #: Parent edge each near list was built against (None: unattached).
+        self.near_edge: List[Optional[float]] = []
+        self.near: List[List[int]] = []
+        self.near_len: List[List[float]] = []
+        self.fermat_memo: Dict[Tuple[Point, Point, Point], Tuple[Point, float]] = {}
+        self.relocate_memo: Dict[Tuple[Point, ...], Point] = {}
+
+    def update(
+        self,
+    ) -> Tuple[List[float], List[float], List[List[int]], List[List[float]]]:
+        """Returns the root row, edge lengths, near lists and their lengths."""
+        vertices = self.tree._vertices
+        parents = self.tree._parent
+        locations = self.locations
+        rows = self.rows
+        edge_len = self.edge_len
+        near_edge = self.near_edge
+        near = self.near
+        near_len = self.near_len
+        n = len(vertices)
+        old_n = len(locations)
+        moved = [i for i in range(old_n) if vertices[i].location != locations[i]]
+        for i in moved:
+            locations[i] = vertices[i].location
+        if n > old_n:
+            grow = [0.0] * (n - old_n)
+            for row in rows:
+                row.extend(grow)
+            for i in range(old_n, n):
+                rows.append([0.0] * n)
+                locations.append(vertices[i].location)
+                edge_len.append(0.0)
+                near_edge.append(None)
+                near.append([])
+                near_len.append([])
+                moved.append(i)
+        is_moved = [False] * n
+        for i in moved:
+            is_moved[i] = True
+        # The matrix is symmetric to the bit (``dx`` and ``-dx`` square
+        # alike), so one evaluation fills both halves: each moved vertex
+        # fills its pairs with every vertex not already filled by an
+        # earlier moved one.
+        filled = [False] * n
+        for i in moved:
+            xi, yi = locations[i]
+            row = rows[i]
+            for j in range(n):
+                if filled[j]:
+                    continue
+                xj, yj = locations[j]
+                dx = xi - xj
+                dy = yi - yj
+                d = math.sqrt(dx * dx + dy * dy)
+                row[j] = d
+                rows[j][i] = d
+            filled[i] = True
+        for i in range(1, n):
+            parent = parents[i]
+            if parent < 0:
+                edge_len[i] = 0.0
+                near_edge[i] = None
+                near[i] = []
+                near_len[i] = []
+                continue
+            row = rows[i]
+            edge = row[parent]
+            edge_len[i] = edge
+            limit = edge - 1e-9
+            if is_moved[i] or edge != near_edge[i]:
+                near_edge[i] = edge
+                hits = [j for j in range(n) if row[j] < limit]
+                near[i] = hits
+                near_len[i] = [row[j] for j in hits]
+                continue
+            hits = near[i]
+            lengths = near_len[i]
+            for j in moved:
+                d = row[j]
+                position = bisect.bisect_left(hits, j)
+                if position < len(hits) and hits[position] == j:
+                    if d < limit:
+                        lengths[position] = d
+                    else:
+                        del hits[position]
+                        del lengths[position]
+                elif d < limit:
+                    hits.insert(position, j)
+                    lengths.insert(position, d)
+        return rows[0], edge_len, near, near_len
+
+
+def _reparent(
+    tree: SteinerTree, dead: set, max_stretch: float, state: _RefineState
+) -> bool:
     """The re-parent sub-pass of :func:`refine_tree`; True if anything moved.
 
     Vertices are visited in vid order and each probes its candidates in vid
@@ -344,7 +502,7 @@ def _reparent(tree: SteinerTree, dead: set, max_stretch: float) -> bool:
     """
     parent_of = tree._parent
     n = len(tree._vertices)
-    radial, edge_len, near, near_len = _scan_inputs(tree)
+    radial, edge_len, near, near_len = state.update()
     path_cache: Dict[int, float] = {}
 
     def root_path(path_vid: int) -> float:
@@ -409,53 +567,12 @@ def _reparent(tree: SteinerTree, dead: set, max_stretch: float) -> bool:
     return moved
 
 
-def _scan_inputs(
+def _insert_virtuals(
     tree: SteinerTree,
-) -> Tuple[List[float], List[float], List[List[int]], List[List[float]]]:
-    """Distances the re-parent scan reads, as Python floats.
-
-    Returns, per vid: the distance to the root; the length of the edge to
-    its parent; and the vertices strictly nearer than that parent (by more
-    than 1e-9) with their distances, in vid order.  Only candidates in that
-    list can ever pass the scan's ``length >= best_len - 1e-9`` filter,
-    because ``best_len`` starts at the parent edge and only decreases.
-    Unattached vertices get no candidates.  Every value is
-    ``distance(location_i, location_j)`` to the bit.
-    """
-    locations = [v.location for v in tree._vertices]
-    parents = tree._parent
-    n = len(locations)
-    # The matrix is symmetric to the bit (``dx`` and ``-dx`` square alike),
-    # so one evaluation fills both halves.
-    rows_py = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        xi, yi = locations[i]
-        row = rows_py[i]
-        for j in range(i + 1, n):
-            xj, yj = locations[j]
-            dx = xi - xj
-            dy = yi - yj
-            d = math.sqrt(dx * dx + dy * dy)
-            row[j] = d
-            rows_py[j][i] = d
-    edge_len = [0.0] * n
-    near: List[List[int]] = [[] for _ in range(n)]
-    near_len: List[List[float]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        parent = parents[i]
-        if parent < 0:
-            continue
-        row = rows_py[i]
-        edge = row[parent]
-        edge_len[i] = edge
-        limit = edge - 1e-9
-        hits = [j for j in range(n) if row[j] < limit]
-        near[i] = hits
-        near_len[i] = [row[j] for j in hits]
-    return rows_py[0], edge_len, near, near_len
-
-
-def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) -> bool:
+    dead: set,
+    radio_range: float | None,
+    memo: Dict[Tuple[Point, Point, Point], Tuple[Point, float]],
+) -> bool:
     """Steiner-point insertion: merge sibling pairs under a new Fermat point.
 
     Whenever a vertex ``p`` has two children ``c1, c2`` whose star would be
@@ -465,7 +582,9 @@ def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) ->
     pass merely applies it where the greedy order missed the opportunity
     (most often right at the root, whose branches the greedy pass never
     reconsiders).  Strictly length-reducing, so the refinement loop still
-    terminates.
+    terminates.  ``memo`` keeps each location triple's Fermat point and
+    saving: a vertex's sibling pairs are re-tried after every insertion
+    under it and on every pass.
     """
     vertices = tree._vertices
     children = tree._children
@@ -487,14 +606,20 @@ def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) ->
                 for c2 in kids[i + 1 :]:
                     l1 = vertices[c1].location
                     l2 = vertices[c2].location
-                    w_loc = fermat_point(p_loc, l1, l2)
-                    saving = (
-                        distance(p_loc, l1)
-                        + distance(p_loc, l2)
-                        - distance(p_loc, w_loc)
-                        - distance(w_loc, l1)
-                        - distance(w_loc, l2)
-                    )
+                    triple = (p_loc, l1, l2)
+                    found = memo.get(triple)
+                    if found is None:
+                        w_loc = fermat_point(p_loc, l1, l2)
+                        saving = (
+                            distance(p_loc, l1)
+                            + distance(p_loc, l2)
+                            - distance(p_loc, w_loc)
+                            - distance(w_loc, l1)
+                            - distance(w_loc, l2)
+                        )
+                        memo[triple] = (w_loc, saving)
+                    else:
+                        w_loc, saving = found
                     if saving > threshold and (best is None or saving > best[0]):
                         best = (saving, c1, c2, w_loc)
             if best is None:
@@ -511,7 +636,7 @@ def _insert_virtuals(tree: SteinerTree, dead: set, radio_range: float | None) ->
 
 
 def _relocate_virtuals(
-    tree: SteinerTree, dead: set, memo: Optional[dict] = None
+    tree: SteinerTree, dead: set, memo: Dict[Tuple[Point, ...], Point]
 ) -> bool:
     """Move each virtual vertex to the optimal point for its tree neighbors.
 
@@ -520,7 +645,9 @@ def _relocate_virtuals(
     point of ``{source, u, v}``, but once re-parenting has rearranged the
     tree the relevant star is ``{parent, children...}`` — so re-place it at
     the exact Fermat point (degree 3) or the geometric median (higher
-    degree) of that star.  Strictly length-reducing.
+    degree) of that star.  Strictly length-reducing.  ``memo`` maps a
+    star's locations to its target, so an unchanged star skips the
+    Weiszfeld iteration, and a vertex already at its target is not costed.
     """
     vertices = tree._vertices
     parent_of = tree._parent
@@ -538,14 +665,15 @@ def _relocate_virtuals(
             continue  # Degenerate stars are handled by the splice pass.
         star = [vertices[parent].location] + [vertices[c].location for c in kids]
         star_key = tuple(star)
-        target = memo.get(star_key) if memo is not None else None
+        target = memo.get(star_key)
         if target is None:
             if len(star) == 3:
                 target = fermat_point(star[0], star[1], star[2])
             else:
                 target = weiszfeld_point(star)
-            if memo is not None:
-                memo[star_key] = target
+            memo[star_key] = target
+        if vertex.location == target:
+            continue
         old_cost = sum(distance(vertex.location, p) for p in star)
         new_cost = sum(distance(target, p) for p in star)
         if new_cost < old_cost - 1e-9:

@@ -1,16 +1,18 @@
 """Tests for the reduction-ratio measure (paper Section 3.1).
 
 The paper states three properties (proofs omitted there); we verify all
-three, by construction and property-based.
+three, by construction and property-based, plus the upper bound rrSTR
+ranks its unevaluated pairs by.
 """
 
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.geometry import Point, distance
 from repro.steiner import reduction_ratio, reduction_ratio_point
+from repro.steiner.reduction_ratio import reduction_ratio_bound
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -106,3 +108,19 @@ class TestPaperProperties:
         assume(direct > 1e-6)
         steiner_len = distance(s, t) + distance(t, u) + distance(t, v)
         assert rr == pytest.approx(1.0 - steiner_len / direct, abs=1e-9)
+
+
+class TestUpperBound:
+    @given(points, points, points)
+    @example(Point(0, 0), Point(0, 0), Point(0, 0))  # all at the source
+    @example(Point(0, 0), Point(0, 0), Point(300, 40))  # u at the source
+    @example(Point(5, 5), Point(400, -20), Point(400, -20))  # u, v coincide
+    @example(Point(0, 0), Point(100, 0), Point(250, 0))  # collinear, same side
+    @example(Point(0, 0), Point(100, 0), Point(-250, 0))  # collinear, opposite
+    @example(Point(0, 0), Point(1000, 0), Point(1000, 1e-6))  # RR near 1/2
+    @settings(max_examples=300)
+    def test_bound_is_never_below_the_exact_ratio(self, s, u, v):
+        # The bound is what rrSTR keys a pair by until it reaches the top of
+        # the heap; the exact ratio must never sort before it.
+        bound = reduction_ratio_bound(distance(s, u), distance(s, v), distance(u, v))
+        assert bound >= reduction_ratio(s, u, v)

@@ -1,10 +1,11 @@
 """White-box tests for the rrSTR refinement moves."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Point, distance
 from repro.steiner.quality import root_path_length
-from repro.steiner.rrstr import refine_tree
+from repro.steiner.rrstr import RRStrConfig, _RefineState, refine_tree, rrstr
 from repro.steiner.tree import SteinerTree
 
 
@@ -144,3 +145,34 @@ class TestInvariantsAfterRefinement:
         once = refine_tree(tree)
         twice = refine_tree(once)
         assert twice.total_length() == pytest.approx(once.total_length(), abs=1e-9)
+
+
+class TestRefineState:
+    def test_update_matches_a_scan_from_empty_state(self):
+        # Between updates, move virtual vertices, insert new ones and
+        # re-parent others; the carried state must equal a fresh one.
+        rng = np.random.default_rng(5)
+        raw = RRStrConfig(radio_aware=False, refine=False)
+        for _ in range(20):
+            dests = [(i, Point(*rng.uniform(0, 1000, 2))) for i in range(12)]
+            tree = rrstr(Point(500.0, 500.0), dests, 150.0, raw)
+            state = _RefineState(tree)
+            for _ in range(6):
+                fresh = _RefineState(tree)
+                assert state.update() == fresh.update()
+                assert state.rows == fresh.rows
+                vertices = tree._vertices
+                for vertex in vertices:
+                    if vertex.is_virtual and rng.random() < 0.5:
+                        x, y = vertex.location
+                        dx, dy = rng.normal(0.0, 100.0, 2)
+                        vertex.location = Point(x + dx, y + dy)
+                attached = [vid for vid in range(1, len(vertices)) if tree._parent[vid] >= 0]
+                child = int(rng.choice(attached))
+                parent = tree._unlink(child)
+                w_vid = tree.add_virtual(Point(*rng.uniform(0, 1000, 2)))
+                tree._link(parent, w_vid)
+                tree._link(w_vid, child)
+                moved = int(rng.choice(attached))
+                tree._unlink(moved)
+                tree._link(0, moved)

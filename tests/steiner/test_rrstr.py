@@ -1,5 +1,7 @@
 """Tests for the rrSTR heuristic (paper Section 3, Figures 3-6)."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +202,27 @@ class TestInvariants:
         b = rrstr(Point(0, 0), dests, 150.0)
         assert a.edges() == b.edges()
         assert a.total_length() == b.total_length()
+
+
+class TestLazyMergeHeap:
+    def test_most_pairs_are_never_evaluated(self, monkeypatch):
+        # Pairs enter the heap under a cheap bound; the exact reduction
+        # ratio is computed only for those that reach the top while live.
+        module = importlib.import_module("repro.steiner.rrstr")
+        calls = []
+        exact = module.reduction_ratio_point
+
+        def counting(s, u, v):
+            calls.append((u, v))
+            return exact(s, u, v)
+
+        monkeypatch.setattr(module, "reduction_ratio_point", counting)
+        rng = np.random.default_rng(25)
+        k = 25
+        dests = [(i, Point(*rng.uniform(0, 1000, 2))) for i in range(k)]
+        tree = rrstr(Point(500, 500), dests, 150.0)
+        assert tree.is_spanning()
+        assert 0 < len(calls) < k * (k - 1) // 4
 
 
 class TestQuality:

@@ -87,6 +87,25 @@ def test_trees_match_oracle(groups, expected):
         assert signature(tree) == expected[index], index
 
 
+def test_large_groups_match_oracle():
+    """Groups well above the size law's 40, where the merge heap holds
+    thousands of pairs and the refinement's distance rows are longest."""
+    rng = np.random.default_rng(27)
+    for index, k in enumerate((60, 75, 90, 100)):
+        source = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
+        locations = [
+            Point(float(x), float(y)) for x, y in rng.uniform(0, 1000, size=(k, 2))
+        ]
+        if index == 1:
+            locations[1] = locations[0]
+            locations[2] = source
+        group = list(enumerate(locations))
+        config = CONFIGS[index % 2]
+        assert signature(rrstr(source, group, RADIO_RANGE, config)) == signature(
+            oracle_rrstr(source, group, RADIO_RANGE, config)
+        ), k
+
+
 def test_refine_tree_matches_oracle_on_hand_built_trees():
     """Unattached vertices, chains and a virtual with many children."""
     rng = np.random.default_rng(9)
